@@ -161,7 +161,10 @@ def ll2022_run(obj: Objective, x_init, params: LL2022Params) -> RunReport:
     theta; once k * M_f * S_k exceeds the tuned eps the method re-anchors at
     x_k and resets its momentum.  Costs exactly one gradient per iteration
     and never evaluates the objective value (the f column in the trace is a
-    free diagnostic, computed outside the counted oracle).
+    free diagnostic, computed outside the counted oracle).  When the iterate
+    equals the point of the last gradient, which is every restart, an
+    objective that memoizes its last point (as matrix completion does) can
+    serve the diagnostic at almost no cost.
     """
     pol = params.termination
     th = params.momentum

@@ -419,8 +419,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     rep = checks.check_jensen_gradient(obj, pts, w, M)
                 if rep.slack < worst:
                     worst = rep.slack
-                    if not rep.holds and bad is None:
-                        bad = rep
                 if not rep.holds and bad is None:
                     bad = rep
             verdict = "PASS" if bad is None else "FAIL"

@@ -135,6 +135,16 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
     the scale ambiguity of the factorization; the whole objective is invariant
     under a joint rotation (U, V) -> (U Q, V Q).  With N = 0 the objective is
     identically zero.
+
+    The value and the gradient share their costly part.  The objective keeps
+    a single-slot memo of the last point evaluated, keyed on its bytes, that
+    holds the residual and U^T U - V^T V there, so a value and a gradient at
+    one point compute them once.  The gradient's sparse products run on a CSR
+    matrix of the observations and a CSR of its transpose, both built once;
+    every gradient overwrites their data arrays.  Results are bit-identical
+    to computing everything afresh, and every returned gradient is a new
+    array.  Because of the memo and the shared buffers, one objective must
+    not be called from two threads at once.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -148,35 +158,42 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
                          grad_fn=lambda v: zero.copy(), lower_bound=0.0)
 
     # Fixed sparsity structure, reused for every gradient: slot j of the CSR
-    # data array corresponds to observation perm[j].
-    structure = sparse.csr_matrix(
+    # data array holds observation perm[j], and slot j of the transpose's
+    # holds observation perm_t[j].  The transpose has sorted indices, so its
+    # products add up in the same order as a CSC product with rmat.T.
+    rmat = sparse.csr_matrix(
         (np.arange(1, n + 1, dtype=np.float64), (rows, cols)), shape=(p, q)
     )
-    perm = structure.data.astype(np.int64) - 1
+    perm = rmat.data.astype(np.int64) - 1
+    rmat_t = rmat.T.tocsr()
+    rmat_t.sort_indices()
+    perm_t = rmat_t.data.astype(np.int64) - 1
     scale = 1.0 / n
+    last = (None, None, None)  # (key, residual, gram difference)
 
-    def split(v: Vector):
+    def evaluate(v: Vector):
+        nonlocal last
         u = v[: p * rank].reshape(p, rank)
         w = v[p * rank:].reshape(q, rank)
-        return u, w
-
-    def residual(u, w):
-        return np.einsum("ij,ij->i", u[rows], w[cols]) - vals
+        key = v.tobytes()
+        if key == last[0]:
+            return u, w, last[1], last[2]
+        r = np.einsum("ij,ij->i", np.take(u, rows, axis=0),
+                      np.take(w, cols, axis=0)) - vals
+        d = u.T @ u - w.T @ w
+        last = (key, r, d)
+        return u, w, r, d
 
     def value(v: Vector) -> float:
-        u, w = split(v)
-        r = residual(u, w)
-        d = u.T @ u - w.T @ w
+        _, _, r, d = evaluate(v)
         return 0.5 * scale * (float(r @ r) + float(np.sum(d * d)))
 
     def grad(v: Vector) -> Vector:
-        u, w = split(v)
-        r = residual(u, w)
-        d = u.T @ u - w.T @ w
-        rmat = sparse.csr_matrix((r[perm], structure.indices, structure.indptr),
-                                 shape=(p, q))
+        u, w, r, d = evaluate(v)
+        rmat.data[:] = r[perm]
+        rmat_t.data[:] = r[perm_t]
         gu = scale * (rmat @ w) + 2.0 * scale * (u @ d)
-        gw = scale * (rmat.T @ u) - 2.0 * scale * (w @ d)
+        gw = scale * (rmat_t @ u) - 2.0 * scale * (w @ d)
         return np.concatenate([gu.ravel(), gw.ravel()])
 
     return Objective(dim=dim, value_fn=value, grad_fn=grad, lower_bound=0.0)

@@ -1,12 +1,18 @@
 """Built-in objectives: closed-form values, gradients, loaders, seeding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from restartagd import (DimensionError, MatrixCompletionInstance, ParseError,
-                        completion_init, cosine_sum, fd_gradient,
-                        load_movielens_100k, make_problem, matrix_completion,
-                        quadratic, rosenbrock, synthetic_completion_instance)
+from restartagd import (CERTIFY_EVERY_ITER, M_THEORETICAL, DimensionError,
+                        GdParams, LL2022Params, MatrixCompletionInstance,
+                        Objective, ParseError, SolverParams, TerminationPolicy,
+                        completion_init, cosine_sum, fd_gradient, gd_run,
+                        ll2022_run, load_movielens_100k, make_problem,
+                        matrix_completion, quadratic, rosenbrock, run,
+                        synthetic_completion_instance)
 from restartagd.problems import DATA_ENV_VAR
 
 
@@ -116,6 +122,175 @@ def test_completion_empty_observation_set():
     obj = matrix_completion(inst, rank=1)
     assert obj.value_fn(np.ones(obj.dim)) == 0.0
     np.testing.assert_array_equal(obj.grad_fn(np.ones(obj.dim)), np.zeros(obj.dim))
+
+
+# The completion kernel as first written: no memo, fancy-index gathers and a
+# new CSR matrix (transposed product through CSC) on every gradient.  The
+# shipped kernel must reproduce it bit for bit.
+def _reference_completion(instance, rank):
+    p, q, n = instance.p, instance.q, instance.n_observed
+    rows, cols, vals = instance.rows, instance.cols, instance.vals
+    structure = sparse.csr_matrix(
+        (np.arange(1, n + 1, dtype=np.float64), (rows, cols)), shape=(p, q))
+    perm = structure.data.astype(np.int64) - 1
+    scale = 1.0 / n
+
+    def split(v):
+        return v[: p * rank].reshape(p, rank), v[p * rank:].reshape(q, rank)
+
+    def residual(u, w):
+        return np.einsum("ij,ij->i", u[rows], w[cols]) - vals
+
+    def value(v):
+        u, w = split(v)
+        r = residual(u, w)
+        d = u.T @ u - w.T @ w
+        return 0.5 * scale * (float(r @ r) + float(np.sum(d * d)))
+
+    def grad(v):
+        u, w = split(v)
+        r = residual(u, w)
+        d = u.T @ u - w.T @ w
+        rmat = sparse.csr_matrix((r[perm], structure.indices, structure.indptr),
+                                 shape=(p, q))
+        gu = scale * (rmat @ w) + 2.0 * scale * (u @ d)
+        gw = scale * (rmat.T @ u) - 2.0 * scale * (w @ d)
+        return np.concatenate([gu.ravel(), gw.ravel()])
+
+    return Objective(dim=(p + q) * rank, value_fn=value, grad_fn=grad,
+                     lower_bound=0.0)
+
+
+def _gap_instance():
+    # row 2 and column 3 are never observed; rows are not sorted
+    return MatrixCompletionInstance(
+        p=4, q=4,
+        rows=np.array([3, 0, 1, 0, 3, 1]),
+        cols=np.array([0, 2, 1, 0, 2, 0]),
+        vals=np.array([0.3, -1.2, 2.0, 0.7, 1.1, -0.4]),
+    )
+
+
+_KERNEL_CASES = [
+    pytest.param(synthetic_completion_instance(p=30, q=20, rank=3, seed=7), 1,
+                 id="rank1"),
+    pytest.param(synthetic_completion_instance(p=30, q=20, rank=3, seed=7), 2,
+                 id="rank2"),
+    pytest.param(synthetic_completion_instance(p=30, q=20, rank=3, seed=7), 3,
+                 id="rank3"),
+    pytest.param(_tiny_instance(), 1, id="tiny-rank1"),
+    pytest.param(_tiny_instance(), 2, id="tiny-rank2"),
+    pytest.param(synthetic_completion_instance(p=12, q=9, rank=2, fraction=1.0,
+                                               seed=3), 2, id="fully-observed"),
+    pytest.param(_gap_instance(), 2, id="unobserved-row-and-column"),
+]
+
+
+def _assert_same(obj, ref, x):
+    assert obj.value_fn(x) == ref.value_fn(x)
+    assert obj.grad_fn(x).tobytes() == ref.grad_fn(x).tobytes()
+
+
+@pytest.mark.parametrize("inst,rank", _KERNEL_CASES)
+def test_completion_kernel_bitwise_equals_reference(inst, rank):
+    obj, ref = matrix_completion(inst, rank), _reference_completion(inst, rank)
+    rng = np.random.default_rng(rank)
+    for _ in range(10):
+        x = rng.standard_normal(obj.dim)
+        # fresh point, then both orders at one point (memo hits)
+        assert obj.grad_fn(x).tobytes() == ref.grad_fn(x).tobytes()
+        assert obj.value_fn(x) == ref.value_fn(x)
+        y = rng.standard_normal(obj.dim)
+        assert obj.value_fn(y) == ref.value_fn(y)
+        assert obj.grad_fn(y).tobytes() == ref.grad_fn(y).tobytes()
+
+
+def test_completion_memo_alternating_points():
+    inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=1)
+    obj, ref = matrix_completion(inst, 2), _reference_completion(inst, 2)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)
+    for point in (x, y, x, y, y, x):
+        _assert_same(obj, ref, point)
+    for point in (x, y, x, y):
+        assert obj.grad_fn(point).tobytes() == ref.grad_fn(point).tobytes()
+    for point in (x, y, x, y):
+        assert obj.value_fn(point) == ref.value_fn(point)
+
+
+def test_completion_memo_misses_on_in_place_mutation():
+    inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=2)
+    obj, ref = matrix_completion(inst, 2), _reference_completion(inst, 2)
+    x = np.random.default_rng(1).standard_normal(obj.dim)
+    v0, g0 = obj.value_fn(x), obj.grad_fn(x)
+    x[3] += 0.25  # the same array object, new contents
+    assert obj.value_fn(x) != v0
+    _assert_same(obj, ref, x)
+    x[-1] -= 0.5
+    assert obj.grad_fn(x).tobytes() != g0.tobytes()
+    _assert_same(obj, ref, x)
+
+
+def test_completion_returned_gradient_is_caller_owned():
+    inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=3)
+    obj, ref = matrix_completion(inst, 2), _reference_completion(inst, 2)
+    x = np.random.default_rng(2).standard_normal(obj.dim)
+    g = obj.grad_fn(x)
+    expected = g.copy()
+    g[:] = 7.0
+    assert obj.grad_fn(x).tobytes() == expected.tobytes()
+    assert obj.value_fn(x) == ref.value_fn(x)
+    _assert_same(obj, ref, x)
+
+
+def test_completion_value_after_grad_reuses_the_residual():
+    # White-box: after a gradient at x, the value at x comes from the memo,
+    # so changing the observed data in between does not reach it; the next
+    # point is computed afresh and sees the change.
+    inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=4)
+    obj = matrix_completion(inst, 2)
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)
+    v_x, v_y = obj.value_fn(x), obj.value_fn(y)
+    obj.grad_fn(x)
+    inst.vals[:] += 1.0
+    assert obj.value_fn(x) == v_x
+    assert obj.value_fn(y) != v_y
+
+
+def _fingerprint(rep):
+    return (repr([dataclasses.astuple(t) for t in rep.trace]),
+            rep.solution.tobytes(), rep.n_value, rep.n_grad,
+            repr(rep.anchor_values), rep.reason, rep.total_K,
+            repr(rep.certified_grad_norm))
+
+
+def _matcomp_runs(obj, x0):
+    to_eps = TerminationPolicy(eps=1e-3, max_oracle_calls=20_000)
+    every = dataclasses.replace(to_eps, certify_mode=CERTIFY_EVERY_ITER)
+    prop = run(obj, x0, SolverParams(termination=to_eps))
+    reports = [
+        prop,
+        run(obj, x0, SolverParams(m_variant=M_THEORETICAL, termination=to_eps)),
+        run(obj, x0, SolverParams(termination=every)),
+    ]
+    budget = TerminationPolicy(max_oracle_calls=prop.n_oracle,
+                               max_iterations=prop.n_oracle)
+    reports.append(gd_run(obj, x0, GdParams(termination=budget)))
+    reports.append(ll2022_run(obj, x0, LL2022Params(l_f=1.0, termination=budget)))
+    return reports
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matcomp_trajectories_match_reference_kernel(seed):
+    spec = make_problem("matcomp_synthetic", seed=seed)
+    inst = synthetic_completion_instance(rank=5, seed=seed)
+    ref = _reference_completion(inst, 5)
+    new = _matcomp_runs(spec.objective, spec.x_init)
+    old = _matcomp_runs(ref, spec.x_init)
+    assert [r.reason for r in new[:3]] == ["EpsReached"] * 3
+    for a, b in zip(new, old):
+        assert _fingerprint(a) == _fingerprint(b)
 
 
 def test_instance_validation():
