@@ -19,8 +19,7 @@ from .problems import (DATA_ENV_VAR, PROBLEM_NAMES, DimensionError,
                        make_problem, matrix_completion, quadratic, rosenbrock,
                        synthetic_completion_instance)
 from .solver import (CERTIFY_EVERY_ITER, CERTIFY_ON_CANDIDATE, M_PRACTICAL,
-                     M_THEORETICAL, SolverParams, TerminationPolicy, run,
-                     theta, update_average)
+                     M_THEORETICAL, SolverParams, TerminationPolicy, run)
 from .trace import (REPORT_SCHEMA, RunReport, TraceRecord, read_trace_csv,
                     report_to_dict, write_report_json, write_trace_csv)
 
@@ -39,6 +38,5 @@ __all__ = [
     "estimate_M_bruteforce", "fd_gradient", "gd_run", "ll2022_run",
     "load_movielens_100k", "make_problem", "matrix_completion", "potential",
     "quadratic", "read_trace_csv", "report_to_dict", "rosenbrock", "run",
-    "synthetic_completion_instance", "theta", "update_average",
-    "write_report_json", "write_trace_csv",
+    "synthetic_completion_instance", "write_report_json", "write_trace_csv",
 ]

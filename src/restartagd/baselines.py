@@ -4,21 +4,20 @@
 the standard sufficient-decrease test.  ``ll2022_run`` is the fixed-parameter
 restarted accelerated method it is compared against: constant step 1/L_f,
 constant momentum derived from (L_f, M_f, eps), and a displacement-budget
-restart test.  Both report through the same :class:`RunReport` type as the
-adaptive solver, and both certify their answer with a genuinely evaluated
-gradient.
+restart test.  Both run through the adaptive solver's driver loop
+(:func:`~restartagd.solver.drive`), so they stop, fail and report exactly as
+it does, and both certify their answer with a genuinely evaluated gradient.
 """
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from .oracle import Objective, OracleError, OracleSession, Vector, as_point
-from .solver import TerminationPolicy, _Certified
+from .oracle import Objective, OracleSession, Vector
+from .solver import DEFAULT_TERMINATION, TerminationPolicy, _Certified, drive
 from .trace import RunReport, TraceRecord
 
 
@@ -31,9 +30,7 @@ class GdParams:
     l_init: float = 1e-3
     alpha: float = 2.0
     beta: float = 0.9
-    termination: TerminationPolicy = field(
-        default_factory=lambda: TerminationPolicy(eps=1e-6, max_oracle_calls=100_000)
-    )
+    termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
         if self.l_init <= 0:
@@ -42,6 +39,49 @@ class GdParams:
             raise ParamError("alpha must exceed 1")
         if not 0 < self.beta <= 1:
             raise ParamError("beta must lie in (0, 1]")
+
+
+class _Gd:
+    """The step object of :func:`gd_run`."""
+
+    def __init__(self, session: OracleSession, x0: Vector, params: GdParams):
+        self.session, self.params = session, params
+        self.point = x0
+        self.f = session.value(x0)
+        self.grad = session.grad(x0)
+        self.grad_norm = math.sqrt(float(self.grad @ self.grad))
+        self.best = _Certified(x0, self.grad_norm)
+        self.anchors = [self.f]
+        self.L = params.l_init
+        self.accepted = self.rejected = 0
+
+    @property
+    def final(self):
+        return self.rejected + 1, self.L, 0.0
+
+    def step(self) -> TraceRecord:
+        p, session = self.params, self.session
+        trial_L, g_norm = self.L, self.grad_norm
+        x_trial = self.point - (1.0 / trial_L) * self.grad
+        f_trial = session.value(x_trial)
+        if f_trial <= self.f - g_norm * g_norm / (2.0 * trial_L):
+            self.point, self.f = x_trial, f_trial
+            self.grad = g = session.grad(x_trial)
+            self.grad_norm = g_norm = math.sqrt(float(g @ g))
+            self.best.consider(x_trial, g_norm)
+            self.anchors.append(f_trial)
+            self.accepted += 1
+            self.L = max(p.beta * trial_L, p.l_init)
+            event = "Step"
+        else:
+            self.rejected += 1
+            self.L = p.alpha * trial_L
+            event = "RestartUnsuccessful"
+        return TraceRecord(
+            K=self.accepted + self.rejected, epoch=self.rejected + 1, k=self.accepted,
+            n_oracle=session.n_oracle, f_x=self.f, grad_norm_monitor=g_norm,
+            grad_norm_ybar=None, L=trial_L, M=0.0, S_k=0.0, event=event,
+        )
 
 
 def gd_run(obj: Objective, x_init, params: GdParams) -> RunReport:
@@ -53,78 +93,7 @@ def gd_run(obj: Objective, x_init, params: GdParams) -> RunReport:
     ``beta`` down to the floor ``l_init``.  Each trial costs one value
     evaluation, each acceptance one gradient more.
     """
-    pol = params.termination
-    t0 = time.perf_counter()
-    session = OracleSession(obj)
-    x = as_point(x_init, obj.dim)
-
-    trace: List[TraceRecord] = []
-    try:
-        f = session.value(x)
-        g = session.grad(x)
-    except OracleError as exc:
-        exc.partial_trace = trace  # type: ignore[attr-defined]
-        raise
-    g_norm = math.sqrt(float(g @ g))
-    best = _Certified(x, g_norm)
-    anchors = [f]
-    L = params.l_init
-    trials = 0
-    accepted = 0
-    rejected = 0
-
-    while True:
-        if g_norm == 0.0:
-            best.consider(x, 0.0)
-            reason = "Stationary"
-            break
-        if pol.eps is not None and best.norm <= pol.eps:
-            reason = "EpsReached"
-            break
-        if pol.max_oracle_calls is not None and session.n_oracle >= pol.max_oracle_calls:
-            reason = "BudgetExhausted"
-            break
-        if pol.max_iterations is not None and trials >= pol.max_iterations:
-            reason = "BudgetExhausted"
-            break
-        if pol.max_seconds is not None and time.perf_counter() - t0 >= pol.max_seconds:
-            reason = "TimeLimit"
-            break
-
-        trials += 1
-        trial_L = L
-        x_trial = x - (1.0 / L) * g
-        try:
-            f_trial = session.value(x_trial)
-            if f_trial <= f - g_norm * g_norm / (2.0 * L):
-                x, f = x_trial, f_trial
-                g = session.grad(x)
-                g_norm = math.sqrt(float(g @ g))
-                best.consider(x, g_norm)
-                anchors.append(f)
-                accepted += 1
-                L = max(params.beta * L, params.l_init)
-                event = "Step"
-            else:
-                rejected += 1
-                L = params.alpha * L
-                event = "RestartUnsuccessful"
-        except OracleError as exc:
-            exc.partial_trace = trace  # type: ignore[attr-defined]
-            raise
-        trace.append(TraceRecord(
-            K=trials, epoch=rejected + 1, k=accepted, n_oracle=session.n_oracle,
-            f_x=f, grad_norm_monitor=g_norm, grad_norm_ybar=None,
-            L=trial_L, M=0.0, S_k=0.0, event=event,
-        ))
-
-    return RunReport(
-        solution=best.point, certified_grad_norm=best.norm,
-        total_K=trials, total_epochs=rejected + 1,
-        n_value=session.counter.n_value, n_grad=session.counter.n_grad,
-        reason=reason, final_L=L, final_M=0.0,
-        trace=trace, anchor_values=anchors,
-    )
+    return drive(obj, x_init, params, _Gd)
 
 
 @dataclass(frozen=True)
@@ -136,9 +105,7 @@ class LL2022Params:
     l_f: float
     m_f: float = 1.0
     eps: float = 1e-16
-    termination: TerminationPolicy = field(
-        default_factory=lambda: TerminationPolicy(eps=1e-6, max_oracle_calls=100_000)
-    )
+    termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
         if self.l_f <= 0 or self.m_f <= 0 or self.eps <= 0:
@@ -154,6 +121,56 @@ class LL2022Params:
         return 1.0 - 2.0 * (self.m_f * self.eps) ** 0.25 / math.sqrt(self.l_f)
 
 
+class _LL2022:
+    """The step object of :func:`ll2022_run`."""
+
+    def __init__(self, session: OracleSession, x0: Vector, params: LL2022Params):
+        self.session, self.params = session, params
+        self.momentum = params.momentum
+        self.x_prev = self.point = x0
+        self.grad = session.grad(x0)
+        self.grad_norm = math.sqrt(float(self.grad @ self.grad))
+        self.best = _Certified(x0, self.grad_norm)
+        self.anchors: List[float] = []
+        self.s = 0.0
+        self.k = self.K = 0
+        self.epoch = 1
+
+    @property
+    def final(self):
+        return self.epoch, self.params.l_f, self.params.m_f
+
+    def step(self) -> TraceRecord:
+        p, session = self.params, self.session
+        k = self.k + 1
+        self.K += 1
+        x_new = self.point - (1.0 / p.l_f) * self.grad
+        dx = x_new - self.x_prev
+        s = self.s + float(dx @ dx)
+        restart = k * p.m_f * s > p.eps
+        y = x_new if restart else x_new + self.momentum * dx
+        self.x_prev, self.point = x_new, y
+        self.grad = g = session.grad(y)
+        self.grad_norm = g_norm = math.sqrt(float(g @ g))
+        self.best.consider(y, g_norm)
+
+        with np.errstate(all="ignore"):
+            try:
+                f_diag = float(session.obj.value_fn(x_new))
+            except (ArithmeticError, ValueError):
+                f_diag = float("nan")
+        record = TraceRecord(
+            K=self.K, epoch=self.epoch, k=k, n_oracle=session.n_oracle,
+            f_x=f_diag, grad_norm_monitor=g_norm, grad_norm_ybar=None,
+            L=p.l_f, M=p.m_f, S_k=s, event="RestartSuccessful" if restart else "Step",
+        )
+        if restart:
+            k, s = 0, 0.0
+            self.epoch += 1
+        self.k, self.s = k, s
+        return record
+
+
 def ll2022_run(obj: Objective, x_init, params: LL2022Params) -> RunReport:
     """Fixed-step accelerated method with a displacement-budget restart.
 
@@ -166,86 +183,4 @@ def ll2022_run(obj: Objective, x_init, params: LL2022Params) -> RunReport:
     objective that memoizes its last point (as matrix completion does) can
     serve the diagnostic at almost no cost.
     """
-    pol = params.termination
-    th = params.momentum
-    t0 = time.perf_counter()
-    session = OracleSession(obj)
-    anchor = as_point(x_init, obj.dim)
-
-    trace: List[TraceRecord] = []
-    x_prev = anchor
-    y = anchor
-    try:
-        g = session.grad(y)
-    except OracleError as exc:
-        exc.partial_trace = trace  # type: ignore[attr-defined]
-        raise
-    g_norm = math.sqrt(float(g @ g))
-    best = _Certified(y, g_norm)
-    s = 0.0
-    k = 0
-    big_k = 0
-    epoch = 1
-
-    while True:
-        if g_norm == 0.0:
-            best.consider(y, 0.0)
-            reason = "Stationary"
-            break
-        if pol.eps is not None and best.norm <= pol.eps:
-            reason = "EpsReached"
-            break
-        if pol.max_oracle_calls is not None and session.n_oracle >= pol.max_oracle_calls:
-            reason = "BudgetExhausted"
-            break
-        if pol.max_iterations is not None and big_k >= pol.max_iterations:
-            reason = "BudgetExhausted"
-            break
-        if pol.max_seconds is not None and time.perf_counter() - t0 >= pol.max_seconds:
-            reason = "TimeLimit"
-            break
-
-        k += 1
-        big_k += 1
-        x_new = y - (1.0 / params.l_f) * g
-        dx = x_new - x_prev
-        s += float(dx @ dx)
-        s_row = s
-        k_row = k
-        if k * params.m_f * s > params.eps:
-            y = x_new
-            s = 0.0
-            k = 0
-            event = "RestartSuccessful"
-        else:
-            y = x_new + th * dx
-            event = "Step"
-        x_prev = x_new
-        try:
-            g = session.grad(y)
-        except OracleError as exc:
-            exc.partial_trace = trace  # type: ignore[attr-defined]
-            raise
-        g_norm = math.sqrt(float(g @ g))
-        best.consider(y, g_norm)
-
-        with np.errstate(all="ignore"):
-            try:
-                f_diag = float(obj.value_fn(x_new))
-            except (ArithmeticError, ValueError):
-                f_diag = float("nan")
-        trace.append(TraceRecord(
-            K=big_k, epoch=epoch, k=k_row, n_oracle=session.n_oracle,
-            f_x=f_diag, grad_norm_monitor=g_norm, grad_norm_ybar=None,
-            L=params.l_f, M=params.m_f, S_k=s_row, event=event,
-        ))
-        if event == "RestartSuccessful":
-            epoch += 1
-
-    return RunReport(
-        solution=best.point, certified_grad_norm=best.norm,
-        total_K=big_k, total_epochs=epoch,
-        n_value=session.counter.n_value, n_grad=session.counter.n_grad,
-        reason=reason, final_L=params.l_f, final_M=params.m_f,
-        trace=trace, anchor_values=[],
-    )
+    return drive(obj, x_init, params, _LL2022)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -32,20 +33,52 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
-SOLVER_NAMES = ("proposed", "gd", "ll2022")
-
 
 class ConfigError(Exception):
     pass
 
 
-RUN_DEFAULTS = {
+def _proposed(s: dict, pol: agd.TerminationPolicy):
+    p = agd.SolverParams(l_init=float(s["l_init"]), m0=float(s["m0"]),
+                         alpha=float(s["alpha"]), beta=float(s["beta"]),
+                         m_variant=s["m_variant"], termination=pol)
+    return agd.run, p, {"l_init": p.l_init, "m0": p.m0, "alpha": p.alpha,
+                        "beta": p.beta, "m_variant": p.m_variant}
+
+
+def _gd(s: dict, pol: agd.TerminationPolicy):
+    p = baselines.GdParams(l_init=float(s["l_init"]), alpha=float(s["alpha"]),
+                           beta=float(s["beta"]), termination=pol)
+    return baselines.gd_run, p, {"l_init": p.l_init, "alpha": p.alpha, "beta": p.beta}
+
+
+def _ll2022(s: dict, pol: agd.TerminationPolicy):
+    p = baselines.LL2022Params(l_f=float(s["l_init"]), m_f=float(s["m0"]),
+                               eps=float(s["ll_eps"]), termination=pol)
+    return baselines.ll2022_run, p, {"l_f": p.l_f, "m_f": p.m_f,
+                                     "tuned_eps": p.eps, "momentum": p.momentum}
+
+
+class _Solver(NamedTuple):
+    """``setup(settings, policy)`` returns the solve function, read from its
+    module at call time, its params and the ``report.json`` params doc."""
+
+    setup: Callable[[dict, agd.TerminationPolicy], Tuple[Callable, Any, dict]]
+    sweeps_m0: bool  # whether ``grid`` runs the solver once per m0 value
+
+
+SOLVERS = {
+    "proposed": _Solver(_proposed, sweeps_m0=True),
+    "gd": _Solver(_gd, sweeps_m0=False),
+    "ll2022": _Solver(_ll2022, sweeps_m0=True),
+}
+
+
+# Settings that ``run`` and every ``grid`` cell read the same way.
+_SOLVE_DEFAULTS = {
     "problem": "rosenbrock",
-    "solver": "proposed",
     "m_variant": "practical",
     "certify_mode": "OnCandidate",
-    "l_init": 1e-3,
-    "m0": 1e-16,
     "alpha": 2.0,
     "beta": 0.9,
     "eps": 1e-6,
@@ -54,7 +87,6 @@ RUN_DEFAULTS = {
     "max_seconds": None,
     "ll_eps": 1e-16,
     "seed": 0,
-    "out": None,
     "dim": None,
     "lam": 1.0,
     "rank": None,
@@ -62,28 +94,21 @@ RUN_DEFAULTS = {
     "data_path": None,
 }
 
+RUN_DEFAULTS = {
+    **_SOLVE_DEFAULTS,
+    "solver": "proposed",
+    "l_init": 1e-3,
+    "m0": 1e-16,
+    "out": None,
+}
+
 GRID_DEFAULTS = {
-    "problem": "rosenbrock",
+    **_SOLVE_DEFAULTS,
     "solvers": ["proposed", "gd"],
     "l_init": [1e2, 1e3, 1e4],
     "m0": [1.0, 10.0, 100.0],
-    "m_variant": "practical",
-    "certify_mode": "OnCandidate",
-    "alpha": 2.0,
-    "beta": 0.9,
-    "eps": 1e-6,
-    "max_oracle_calls": 100_000,
-    "max_iterations": None,
-    "max_seconds": None,
-    "ll_eps": 1e-16,
     "thresholds": [1e-2, 1e-4, 1e-6],
-    "seed": 0,
     "out": "runs/grid",
-    "dim": None,
-    "lam": 1.0,
-    "rank": None,
-    "fraction": 0.3,
-    "data_path": None,
 }
 
 VERIFY_DEFAULTS = {
@@ -160,48 +185,30 @@ def _termination(s: dict) -> agd.TerminationPolicy:
         raise ConfigError(str(exc))
 
 
-def _execute(spec: ProblemSpec, s: dict) -> Tuple[RunReport, dict]:
+def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
+    """Run the solve ``s`` describes and write its ``trace.csv`` and ``report.json``
+    into ``out_dir``; an oracle failure writes the partial trace and re-raises."""
+    os.makedirs(out_dir, exist_ok=True)
+    trace_path = os.path.join(out_dir, "trace.csv")
     pol = _termination(s)
     name = s["solver"]
+    if not isinstance(name, str) or name not in SOLVERS:
+        raise ConfigError(f"unknown solver {name!r}")
     try:
-        if name == "proposed":
-            params = agd.SolverParams(
-                l_init=float(s["l_init"]), m0=float(s["m0"]),
-                alpha=float(s["alpha"]), beta=float(s["beta"]),
-                m_variant=s["m_variant"], termination=pol,
-            )
-        elif name == "gd":
-            params = baselines.GdParams(
-                l_init=float(s["l_init"]), alpha=float(s["alpha"]),
-                beta=float(s["beta"]), termination=pol,
-            )
-        elif name == "ll2022":
-            params = baselines.LL2022Params(
-                l_f=float(s["l_init"]), m_f=float(s["m0"]),
-                eps=float(s["ll_eps"]), termination=pol,
-            )
-        else:
-            raise ConfigError(f"unknown solver {name!r}")
+        entry, params, doc = SOLVERS[name].setup(s, pol)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    doc.update(dataclasses.asdict(pol), seed=int(s["seed"]))
 
-    if name == "proposed":
-        report = agd.run(spec.objective, spec.x_init, params)
-        doc = {"l_init": params.l_init, "m0": params.m0, "alpha": params.alpha,
-               "beta": params.beta, "m_variant": params.m_variant}
-    elif name == "gd":
-        report = baselines.gd_run(spec.objective, spec.x_init, params)
-        doc = {"l_init": params.l_init, "alpha": params.alpha, "beta": params.beta}
-    else:
-        report = baselines.ll2022_run(spec.objective, spec.x_init, params)
-        doc = {"l_f": params.l_f, "m_f": params.m_f, "tuned_eps": params.eps,
-               "momentum": params.momentum}
-    doc.update({
-        "eps": pol.eps, "max_oracle_calls": pol.max_oracle_calls,
-        "max_iterations": pol.max_iterations, "max_seconds": pol.max_seconds,
-        "certify_mode": pol.certify_mode, "seed": int(s["seed"]),
-    })
-    return report, doc
+    try:
+        report = entry(spec.objective, spec.x_init, params)
+    except OracleError as exc:
+        write_trace_csv(trace_path, getattr(exc, "partial_trace", []))
+        raise
+    write_trace_csv(trace_path, report.trace)
+    write_report_json(os.path.join(out_dir, "report.json"), report_to_dict(
+        report, problem=spec.name, solver=s["solver"], params=doc, trace_path=trace_path))
+    return report
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -212,28 +219,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     s = _settings(RUN_DEFAULTS, _load_config(args.config, "run"), flags)
     spec = _make_problem(s)
     out_dir = s["out"] or os.path.join("runs", f"{spec.name}_{s['solver']}")
-    os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
-    report_path = os.path.join(out_dir, "report.json")
-
     try:
-        report, params_doc = _execute(spec, s)
+        report = _solve_into(out_dir, spec, s)
     except OracleError as exc:
         partial = getattr(exc, "partial_trace", [])
-        write_trace_csv(trace_path, partial)
         print(f"error: oracle failure: {exc}", file=sys.stderr)
         print(f"partial trace ({len(partial)} rows) written to {trace_path}",
               file=sys.stderr)
         return EXIT_ORACLE
 
-    write_trace_csv(trace_path, report.trace)
-    doc = report_to_dict(report, problem=spec.name, solver=s["solver"],
-                         params=params_doc, trace_path=trace_path)
-    write_report_json(report_path, doc)
     print(f"{spec.name} / {s['solver']}: reason={report.reason} "
           f"certified_grad_norm={report.certified_grad_norm:.6e} "
           f"n_oracle={report.n_oracle} epochs={report.total_epochs}")
-    print(f"wrote {trace_path} and {report_path}")
+    print(f"wrote {trace_path} and {os.path.join(out_dir, 'report.json')}")
     return EXIT_OK
 
 
@@ -256,9 +255,6 @@ def _calls_to_thresholds(records: Sequence[TraceRecord],
 def _grid_worker(payload: dict) -> dict:
     s = payload["settings"]
     spec = _make_problem(s)
-    cell_dir = payload["cell_dir"]
-    os.makedirs(cell_dir, exist_ok=True)
-    trace_path = os.path.join(cell_dir, "trace.csv")
     row = {
         "problem": spec.name, "solver": s["solver"],
         "l_init": repr(float(s["l_init"])),
@@ -267,18 +263,12 @@ def _grid_worker(payload: dict) -> dict:
     }
     thresholds = payload["thresholds"]
     try:
-        report, params_doc = _execute(spec, s)
+        report = _solve_into(payload["cell_dir"], spec, s)
     except OracleError as exc:
-        partial = getattr(exc, "partial_trace", [])
-        write_trace_csv(trace_path, partial)
         row["error"] = str(exc)
         for thr in thresholds:
             row[_thr_col(thr)] = ""
         return row
-    write_trace_csv(trace_path, report.trace)
-    doc = report_to_dict(report, problem=spec.name, solver=s["solver"],
-                         params=params_doc, trace_path=trace_path)
-    write_report_json(os.path.join(cell_dir, "report.json"), doc)
     row["reason"] = report.reason
     row["certified_grad_norm"] = repr(float(report.certified_grad_norm))
     row["n_oracle"] = str(report.n_oracle)
@@ -298,23 +288,23 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if isinstance(solvers, str):
         solvers = [solvers]
     for name in solvers:
-        if name not in SOLVER_NAMES:
+        if not isinstance(name, str) or name not in SOLVERS:
             raise ConfigError(f"unknown solver {name!r}")
-    l_values = [float(v) for v in np.atleast_1d(s["l_init"])]
-    m_values = [float(v) for v in np.atleast_1d(s["m0"])]
-    thresholds = [float(v) for v in s["thresholds"]]
+    try:
+        l_values = [float(v) for v in np.atleast_1d(s["l_init"])]
+        m_values = [float(v) for v in np.atleast_1d(s["m0"])]
+        thresholds = [float(v) for v in np.atleast_1d(s["thresholds"])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid setting: {exc}")
     out_dir = s["out"]
     os.makedirs(out_dir, exist_ok=True)
 
     payloads = []
     for solver_name in solvers:
-        m_axis = [None] if solver_name == "gd" else m_values
+        m_axis = m_values if SOLVERS[solver_name].sweeps_m0 else [None]
         for l_val in l_values:
             for m_val in m_axis:
-                cell = dict(s)
-                cell["solver"] = solver_name
-                cell["l_init"] = l_val
-                cell["m0"] = m_val
+                cell = dict(s, solver=solver_name, l_init=l_val, m0=m_val)
                 tag = f"{solver_name}_L{l_val:g}" + ("" if m_val is None else f"_M{m_val:g}")
                 payloads.append({
                     "settings": cell,
@@ -367,8 +357,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def _box_constants(spec: ProblemSpec, half_width: float) -> Tuple[float, float]:
     """Curvature constants to verify against: the problem's own if declared,
     else conservative bounds over the sampling box (Rosenbrock only)."""
-    if spec.known_L is not None and spec.known_M is not None:
-        return spec.known_L, spec.known_M
+    obj = spec.objective
+    if obj.known_L is not None and obj.known_M is not None:
+        return obj.known_L, obj.known_M
     if spec.name == "rosenbrock":
         b = half_width
         return 202.0 + 1200.0 * b * b + 800.0 * b, 2400.0 * b + 1200.0
@@ -378,24 +369,29 @@ def _box_constants(spec: ProblemSpec, half_width: float) -> Tuple[float, float]:
 def cmd_verify(args: argparse.Namespace) -> int:
     flags = {"samples": args.samples, "seed": args.seed}
     s = _settings(VERIFY_DEFAULTS, _load_config(args.config, "verify"), flags)
-    samples = int(s["samples"])
+    try:
+        samples = int(s["samples"])
+        box = float(s["box"])
+        l_scale = float(s["l_scale"])
+        m_scale = float(s["m_scale"])
+        rng = np.random.default_rng(int(s["seed"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad verify setting: {exc}")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    box = float(s["box"])
     if box <= 0:
         raise ConfigError("box must be positive")
     names = s["problems"]
     if isinstance(names, str):
         names = [names]
 
-    rng = np.random.default_rng(int(s["seed"]))
     failures = 0
     for name in names:
         spec = _make_problem(s, problem=name)
         obj = spec.objective
         L, M = _box_constants(spec, box)
-        L *= float(s["l_scale"])
-        M *= float(s["m_scale"])
+        L *= l_scale
+        M *= m_scale
         lo, hi = -box, box
 
         suites = {"descent_lemma": None, "trapezoid": None, "jensen_gradient": None}
@@ -442,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run one solver on one problem")
     runp.add_argument("--config", help="YAML config file (section 'run')")
     runp.add_argument("--problem", choices=PROBLEM_NAMES)
-    runp.add_argument("--solver", choices=SOLVER_NAMES)
+    runp.add_argument("--solver", choices=tuple(SOLVERS))
     runp.add_argument("--m-variant", dest="m_variant",
                       choices=(agd.M_PRACTICAL, agd.M_THEORETICAL))
     runp.add_argument("--l-init", dest="l_init", type=float,

@@ -276,22 +276,6 @@ class ProblemSpec:
     x_init: Vector
     seed: int = 0
 
-    @property
-    def dim(self) -> int:
-        return self.objective.dim
-
-    @property
-    def known_L(self) -> Optional[float]:
-        return self.objective.known_L
-
-    @property
-    def known_M(self) -> Optional[float]:
-        return self.objective.known_M
-
-    @property
-    def lower_bound(self) -> Optional[float]:
-        return self.objective.lower_bound
-
 
 DATA_ENV_VAR = "RESTARTAGD_DATA"
 

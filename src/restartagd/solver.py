@@ -17,12 +17,22 @@ tests end an epoch:
 ``S_k`` is the within-epoch sum of squared displacements, accumulated with
 compensated summation.  The solution the run certifies is always a point
 whose gradient was genuinely evaluated.
+
+This method and the baselines all run through :func:`drive`, which owns the
+clock, the counted :class:`OracleSession`, the stop checks, the partial trace
+of an :class:`OracleError` and the :class:`RunReport`.  A method is a step
+object built as ``method(session, x0, params)``, which makes the first
+evaluations; ``step()`` returns one iteration's :class:`TraceRecord` (event
+``Terminated`` ends the run as ``EpsReached``), ``point`` and ``grad_norm`` are
+the next step's base point and its gradient norm, ``best`` the best evaluated
+gradient with its point, ``anchors`` the anchor values and ``final`` the final
+``(epochs, L, M)``.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -77,6 +87,9 @@ class TerminationPolicy:
             raise ValueError(f"unknown certify_mode {self.certify_mode!r}")
 
 
+DEFAULT_TERMINATION = TerminationPolicy(eps=1e-6, max_oracle_calls=100_000)
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Solver inputs.  The defaults are the recommended parameter-free
@@ -88,9 +101,7 @@ class SolverParams:
     alpha: float = 2.0
     beta: float = 0.9
     m_variant: str = M_PRACTICAL
-    termination: TerminationPolicy = field(
-        default_factory=lambda: TerminationPolicy(eps=1e-6, max_oracle_calls=100_000)
-    )
+    termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
         if self.l_init <= 0:
@@ -133,30 +144,9 @@ class EpochState:
     y_bar: Vector = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class IterationOutcome:
-    kind: str  # Continued | RestartUnsuccessful | RestartSuccessful | Terminated
-    record: TraceRecord
-
-
-def theta(k: int) -> float:
-    """Momentum schedule k/(k+1) for inner index k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k / (k + 1.0)
-
-
-def update_average(z: float, y_bar: Vector, y: Vector, th: float):
-    """One step of the running weighted average: given the normalizer ``z``
-    and average ``y_bar`` over previous momentum points, fold in ``y`` with
-    momentum weight ``th``.  Returns (z_new, y_bar_new)."""
-    z_new = 1.0 + th * z
-    return z_new, (y + (th * z) * y_bar) / z_new
-
-
 def _fold_average_exact(k: int, y_bar: Vector, y: Vector):
-    """The same recursion specialized to th = k/(k+1), where th*Z_k = k/2
-    exactly; keeps the normalizer Z_{k+1} = (k+2)/2 bit-exact."""
+    """Fold ``y`` into the running average with momentum weight th = k/(k+1),
+    where th*Z_k = k/2 exactly; keeps the normalizer Z_{k+1} = (k+2)/2 bit-exact."""
     return (k + 2.0) / 2.0, (2.0 * y + k * y_bar) / (k + 2.0)
 
 
@@ -311,9 +301,10 @@ def _kahan_add(state: EpochState, term: float) -> None:
 
 
 def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
-             best: _Certified) -> IterationOutcome:
+             best: _Certified) -> TraceRecord:
     """Run one accelerated iteration, update M and the running average, then
-    apply the descent test and the progress test, in that order."""
+    apply the descent test and the progress test, in that order.  The
+    returned record's event names the outcome."""
     pol = params.termination
     state.k += 1
     state.K += 1
@@ -360,7 +351,7 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     state.z, state.y_bar = _fold_average_exact(k, ybar_k, y_new)
 
     if descent_condition_holds(state):
-        kind = "RestartSuccessful" if restart2_triggered(state) else "Continued"
+        kind = "RestartSuccessful" if restart2_triggered(state) else "Step"
     else:
         kind = "RestartUnsuccessful"
 
@@ -379,14 +370,13 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
         best.consider(x_new, gx_norm)
         best.consider(y_new, gy_norm)
 
-    if kind == "Continued" and pol.eps is not None and best.norm <= pol.eps:
+    if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
         kind = "Terminated"
 
     record = TraceRecord(
         K=state.K, epoch=state.epoch, k=k, n_oracle=session.n_oracle,
         f_x=f_x, grad_norm_monitor=monitor, grad_norm_ybar=grad_ybar_norm,
-        L=step_L, M=state.M, S_k=state.s,
-        event=kind if kind != "Continued" else "Step",
+        L=step_L, M=state.M, S_k=state.s, event=kind,
     )
 
     if kind == "RestartUnsuccessful":
@@ -394,11 +384,91 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     elif kind == "RestartSuccessful":
         restart_successful(state, params.beta)
 
-    return IterationOutcome(kind=kind, record=record)
+    return record
+
+
+class _Proposed:
+    """The adaptive method as a step object; ``state`` is its EpochState."""
+
+    def __init__(self, session: OracleSession, x0: Vector, params: SolverParams):
+        f0 = session.value(x0)
+        g0 = session.grad(x0)
+        self.session, self.params = session, params
+        self.state = new_state(x0, f0, g0, params.l_init, params.m0)
+        self.best = _Certified(x0, math.sqrt(float(g0 @ g0)))
+        self.anchors = [f0]
+
+    @property
+    def point(self) -> Vector:
+        return self.state.y_cur
+
+    @property
+    def grad_norm(self) -> float:
+        g = self.state.grad_y_cur
+        return math.sqrt(float(g @ g))
+
+    @property
+    def final(self):
+        return self.state.epoch, self.state.L, self.state.M
+
+    def step(self) -> TraceRecord:
+        record = agd_step(self.state, self.session, self.params, self.best)
+        if record.event in ("RestartUnsuccessful", "RestartSuccessful"):
+            self.anchors.append(self.state.f_x0)
+        return record
+
+
+def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
+    """Run the step-object class ``method`` until ``params.termination``
+    stops it, checking before each step, in order: a zero gradient at the
+    next base point (``Stationary``), ``eps``, the call and iteration budgets
+    and the clock.  ``observer(method, record)`` sees every record."""
+    pol = params.termination
+    t0 = time.perf_counter()
+    session = OracleSession(obj)
+    trace: List[TraceRecord] = []
+    try:
+        m = method(session, as_point(x_init, obj.dim), params)
+        best = m.best
+        while True:
+            if m.grad_norm == 0.0:
+                best.consider(m.point, 0.0)
+                reason = "Stationary"
+                break
+            if pol.eps is not None and best.norm <= pol.eps:
+                reason = "EpsReached"
+                break
+            if ((pol.max_oracle_calls is not None and session.n_oracle >= pol.max_oracle_calls)
+                    or (pol.max_iterations is not None and len(trace) >= pol.max_iterations)):
+                reason = "BudgetExhausted"
+                break
+            if pol.max_seconds is not None and time.perf_counter() - t0 >= pol.max_seconds:
+                reason = "TimeLimit"
+                break
+
+            record = m.step()
+            trace.append(record)
+            if observer is not None:
+                observer(m, record)
+            if record.event == "Terminated":
+                reason = "EpsReached"
+                break
+    except OracleError as exc:
+        exc.partial_trace = trace  # type: ignore[attr-defined]
+        raise
+
+    epochs, final_L, final_M = m.final
+    return RunReport(
+        solution=best.point, certified_grad_norm=best.norm,
+        total_K=len(trace), total_epochs=epochs,
+        n_value=session.counter.n_value, n_grad=session.counter.n_grad,
+        reason=reason, final_L=final_L, final_M=final_M,
+        trace=trace, anchor_values=m.anchors,
+    )
 
 
 def run(obj: Objective, x_init, params: SolverParams,
-        observer: Optional[Callable[[EpochState, IterationOutcome], None]] = None,
+        observer: Optional[Callable[[_Proposed, TraceRecord], None]] = None,
         ) -> RunReport:
     """Minimize ``obj`` from ``x_init``.
 
@@ -410,68 +480,8 @@ def run(obj: Objective, x_init, params: SolverParams,
     complexity analysis, while the default "OnCandidate" also admits the
     per-iteration monitor points.
 
-    Oracle errors raised mid-run propagate with the trace so far attached as
-    ``exc.partial_trace``.
+    ``observer(method, record)`` is called after every iteration, with
+    ``method.state`` the run's :class:`EpochState`.  Oracle errors propagate
+    with the trace so far attached as ``exc.partial_trace``.
     """
-    pol = params.termination
-    t0 = time.perf_counter()
-    session = OracleSession(obj)
-    x0 = as_point(x_init, obj.dim)
-
-    trace: List[TraceRecord] = []
-    try:
-        f0 = session.value(x0)
-        g0 = session.grad(x0)
-    except OracleError as exc:
-        exc.partial_trace = trace  # type: ignore[attr-defined]
-        raise
-    state = new_state(x0, f0, g0, params.l_init, params.m0)
-    anchors = [f0]
-    best = _Certified(x0, math.sqrt(float(g0 @ g0)))
-
-    while True:
-        gy = state.grad_y_cur
-        if math.sqrt(float(gy @ gy)) == 0.0:
-            best.consider(state.y_cur, 0.0)
-            reason = "Stationary"
-            break
-        if pol.eps is not None and best.norm <= pol.eps:
-            reason = "EpsReached"
-            break
-        if pol.max_oracle_calls is not None and session.n_oracle >= pol.max_oracle_calls:
-            reason = "BudgetExhausted"
-            break
-        if pol.max_iterations is not None and state.K >= pol.max_iterations:
-            reason = "BudgetExhausted"
-            break
-        if pol.max_seconds is not None and time.perf_counter() - t0 >= pol.max_seconds:
-            reason = "TimeLimit"
-            break
-
-        try:
-            outcome = agd_step(state, session, params, best)
-        except OracleError as exc:
-            exc.partial_trace = trace  # type: ignore[attr-defined]
-            raise
-        trace.append(outcome.record)
-        if observer is not None:
-            observer(state, outcome)
-        if outcome.kind == "Terminated":
-            reason = "EpsReached"
-            break
-        if outcome.kind in ("RestartUnsuccessful", "RestartSuccessful"):
-            anchors.append(state.f_x0)
-
-    return RunReport(
-        solution=best.point,
-        certified_grad_norm=best.norm,
-        total_K=state.K,
-        total_epochs=state.epoch,
-        n_value=session.counter.n_value,
-        n_grad=session.counter.n_grad,
-        reason=reason,
-        final_L=state.L,
-        final_M=state.M,
-        trace=trace,
-        anchor_values=anchors,
-    )
+    return drive(obj, x_init, params, _Proposed, observer)

@@ -19,7 +19,7 @@ from restartagd import (GdParams, LL2022Params, NonFiniteGradient,
                         gd_run, ll2022_run, make_problem, run)
 from restartagd.checks import (check_descent_lemma, check_jensen_gradient,
                                check_trapezoid)
-from restartagd.solver import theta, update_average
+from reference import theta, update_average
 
 L_GRID = (1e2, 1e3, 1e4)
 M_GRID = (1.0, 10.0, 100.0)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: run, grid, plot, verify, exit codes, config files."""
 
+import csv
 import filecmp
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import jsonschema
 import pytest
 
-from restartagd import REPORT_SCHEMA, read_trace_csv
+from restartagd import REPORT_SCHEMA, baselines, cli, read_trace_csv, solver
 from restartagd.cli import main
 
 
@@ -177,6 +178,94 @@ def test_grid_rejects_unknown_solver(tmp_path):
     cfg.write_text("grid:\n  solvers: [rmsprop]\n")
     rc = main(["grid", "--config", str(cfg), "--out", str(tmp_path / "g")])
     assert rc == 2
+
+
+def test_grid_ll2022_cells_sweep_m0_and_keep_divergent_partial_traces(tmp_path):
+    # L_f = 100 is far below Rosenbrock's curvature, so both of its cells
+    # diverge; L_f = 1e4 runs to the budget.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "grid:\n"
+        "  problem: rosenbrock\n"
+        "  solvers: [ll2022]\n"
+        "  l_init: [100, 1e4]\n"
+        "  m0: [1.0, 10.0]\n"
+        "  thresholds: [1e-2]\n"
+        "  max_oracle_calls: 2000\n"
+    )
+    out = str(tmp_path / "grid")
+    assert main(["grid", "--config", str(cfg), "--out", out]) == 0
+    with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["l_init"], r["m0"]) for r in rows] == [
+        ("100.0", "1.0"), ("100.0", "10.0"), ("10000.0", "1.0"), ("10000.0", "10.0")]
+    for row in rows:
+        cell = os.path.join(out, f"ll2022_L{float(row['l_init']):g}_M{float(row['m0']):g}")
+        records = read_trace_csv(os.path.join(cell, "trace.csv"))
+        if row["l_init"] == "100.0":
+            assert row["error"] == "gradient has non-finite entries"
+            assert row["reason"] == row["n_oracle"] == row["calls_to_0.01"] == ""
+            assert len(records) > 0
+            assert not os.path.exists(os.path.join(cell, "report.json"))
+        else:
+            assert row["error"] == "" and row["reason"] == "BudgetExhausted"
+            doc = read_report(cell)
+            jsonschema.validate(doc, REPORT_SCHEMA)
+            assert len(records) == doc["total_K"]
+
+
+GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
+
+
+@pytest.mark.parametrize("section, line, rc", [
+    ("run", "solver: [gd]", 2),
+    ("grid", "solvers: [[gd]]", 2),
+    ("grid", "l_init: [abc]", 2),
+    ("grid", "m0: abc", 2),
+    ("grid", "thresholds: [abc]", 2),
+    ("grid", "thresholds: {a: 1}", 2),
+    ("grid", "thresholds: 1e-3", 0),      # YAML reads 1e-3 as the string "1e-3"
+    ("verify", "box: abc", 2),
+    ("verify", "samples: abc", 2),
+    ("verify", "l_scale: abc", 2),
+    ("verify", "m_scale: [1, 2]", 2),
+    ("verify", "seed: abc", 2),
+])
+def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  {line}\n" + (GRID_SMALL if section == "grid" else ""))
+    out = str(tmp_path / "out")
+    argv = [section, "--config", str(cfg)] + (["--out", out] if section != "verify" else [])
+    assert main(argv) == rc
+    if rc:
+        assert "error: " in capsys.readouterr().err
+    else:
+        with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
+            assert "calls_to_0.001" in fh.readline().split(",")
+
+
+def test_solves_go_through_the_module_entry_points(tmp_path, monkeypatch):
+    # The benchmark swaps these module attributes to capture every solve, so
+    # the CLI must look them up at call time.
+    seen = []
+    for mod, name in ((solver, "run"), (baselines, "gd_run"), (baselines, "ll2022_run")):
+        def counted(obj, x_init, params, _fn=getattr(mod, name), _name=name):
+            seen.append(_name)
+            return _fn(obj, x_init, params)
+        monkeypatch.setattr(mod, name, counted)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GRID_CFG.replace("[proposed, gd]", "[proposed, gd, ll2022]"))
+    assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "grid")]) == 0
+    assert seen == ["run"] * 2 + ["gd_run"] * 2 + ["ll2022_run"] * 2
+    for name in cli.SOLVERS:
+        assert main(["run", "--problem", "quadratic", "--solver", name, "--l-init", "4",
+                     "--out", str(tmp_path / name)]) == 0
+    assert seen[6:] == ["run", "gd_run", "ll2022_run"]
+
+    for attr in ("make_problem", "write_trace_csv", "read_trace_csv",
+                 "write_report_json", "write_traces_svg", "main"):
+        assert callable(getattr(cli, attr))
+    assert set(cli.SOLVERS) == set(REPORT_SCHEMA["properties"]["solver"]["enum"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from restartagd import (GdParams, SolverParams, TerminationPolicy,
                         gd_run, make_problem, run)
 from restartagd.checks import THETA0, potential
-from restartagd.solver import theta
+from reference import theta
 
 
 def solve(problem_name, *, seed=0, dim=10, observer=None, **params):
@@ -61,10 +61,10 @@ def _potential_rhs(th_k, th_next, ell, m, h_prev, h_next, grad_sq):
 def test_potential_decreases_every_iteration():
     snaps = []
 
-    def grab(state, outcome):
-        rec = outcome.record
+    def grab(m, rec):
+        state = m.state
         snaps.append({
-            "kind": outcome.kind, "k": rec.k, "L": rec.L, "M": rec.M,
+            "kind": rec.event, "k": rec.k, "L": rec.L, "M": rec.M,
             "f_cur": state.f_x_cur, "x_cur": state.x_cur.copy(),
             "g_cur": state.grad_x_cur.copy(),
             "f_prev": state.f_x_prev, "x_prev": state.x_prev.copy(),
@@ -84,7 +84,7 @@ def test_potential_decreases_every_iteration():
         # a must be a plain step so its prev-fields still describe the same
         # epoch; b may be a restart row, so x_k and its gradient are taken
         # from a (b's own prev-fields are re-anchored once a restart fires).
-        if a["kind"] != "Continued" or b["k"] != a["k"] + 1:
+        if a["kind"] != "Step" or b["k"] != a["k"] + 1:
             continue
         th_k, th_next = theta(a["k"]), theta(b["k"])
         phi_k = potential(a["f_cur"], a["x_cur"], a["x_prev"], a["g_prev"],
@@ -100,7 +100,7 @@ def test_potential_decreases_every_iteration():
     for b in snaps:
         # Epoch openers: the k = 0 -> 1 transition measured from the anchor,
         # whose displacement is zero by construction.
-        if b["k"] != 1 or b["kind"] != "Continued":
+        if b["k"] != 1 or b["kind"] != "Step":
             continue
         phi_0 = potential(b["f_prev"], b["x_prev"], b["x_prev"], b["g_prev"],
                           THETA0, ell)

@@ -1,17 +1,20 @@
 """Solver unit tests: schedule, averaging, restart logic, curvature updates,
 termination, and exact oracle accounting on short runs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from restartagd import (SolverParams, TerminationPolicy, make_problem,
-                        quadratic, rosenbrock, run)
+from restartagd import (GdParams, LL2022Params, NonFiniteGradient,
+                        SolverParams, TerminationPolicy, gd_run, ll2022_run,
+                        make_problem, quadratic, rosenbrock, run)
 from restartagd.solver import (EpochState, _fold_average_exact, agd_step,
                                descent_condition_holds, new_state,
-                               restart2_triggered, theta, update_average,
-                               update_m_practical, update_m_theoretical)
+                               restart2_triggered, update_m_practical,
+                               update_m_theoretical)
+from reference import theta, update_average
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +181,11 @@ def test_first_step_from_origin_is_wild_and_restarts():
                           termination=TerminationPolicy(max_iterations=10))
     best = _Certified(x0, math.sqrt(float(g0 @ g0)))
 
-    out = agd_step(st, session, params, best)
-    assert out.kind == "RestartUnsuccessful"
-    assert out.record.L == 1e-3            # the L the step actually used
-    assert out.record.K == 1 and out.record.k == 1
-    assert out.record.f_x == spec.objective.value_fn(np.array([2000.0, 0.0]))
+    rec = agd_step(st, session, params, best)
+    assert rec.event == "RestartUnsuccessful"
+    assert rec.L == 1e-3            # the L the step actually used
+    assert rec.K == 1 and rec.k == 1
+    assert rec.f_x == spec.objective.value_fn(np.array([2000.0, 0.0]))
     # After the restart: re-anchored at the old point, L doubled, M kept.
     np.testing.assert_array_equal(st.x_cur, x0)
     assert st.L == 2e-3
@@ -360,7 +363,7 @@ def test_observer_sees_every_iteration():
     seen = []
     rep = run(spec.objective, spec.x_init,
               SolverParams(termination=TerminationPolicy(max_iterations=7)),
-              observer=lambda st, out: seen.append(out.kind))
+              observer=lambda m, rec: seen.append(rec.event))
     assert len(seen) == rep.total_K == 7
 
 
@@ -375,3 +378,40 @@ def test_m_survives_restarts():
     assert "RestartUnsuccessful" in events or "RestartSuccessful" in events
     ms = [r.M for r in rep.trace]
     assert all(b >= a for a, b in zip(ms, ms[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the shared driver loop: oracle failures keep the trace so far
+
+# l = 3 keeps every method off a bitwise fixed point for 100 iterations, so
+# each one keeps calling the gradient.
+DRIVEN = {
+    "practical": lambda obj, x0, pol: run(obj, x0, SolverParams(l_init=3.0, termination=pol)),
+    "theoretical": lambda obj, x0, pol: run(obj, x0, SolverParams(
+        l_init=3.0, m_variant="theoretical", termination=pol)),
+    "gd": lambda obj, x0, pol: gd_run(obj, x0, GdParams(l_init=3.0, termination=pol)),
+    "ll2022": lambda obj, x0, pol: ll2022_run(obj, x0, LL2022Params(l_f=3.0, termination=pol)),
+}
+
+
+@pytest.mark.parametrize("n_bad", [1, 5, 25])
+@pytest.mark.parametrize("method", sorted(DRIVEN))
+def test_nan_gradient_keeps_clean_prefix_as_partial_trace(method, n_bad):
+    spec = make_problem("cosine_sum", dim=4)
+    calls = [0]
+
+    def grad(x):
+        calls[0] += 1
+        g = spec.objective.grad_fn(x)
+        return g * np.nan if calls[0] >= n_bad else g
+
+    pol = TerminationPolicy(max_iterations=100)
+    clean = DRIVEN[method](spec.objective, spec.x_init, pol)
+    with pytest.raises(NonFiniteGradient) as err:
+        DRIVEN[method](dataclasses.replace(spec.objective, grad_fn=grad), spec.x_init, pol)
+    partial = err.value.partial_trace
+    if n_bad == 1:
+        assert partial == []
+    else:
+        assert 0 < len(partial) < len(clean.trace)
+        assert partial == clean.trace[:len(partial)]
