@@ -17,7 +17,8 @@ from typing import List
 import numpy as np
 
 from .oracle import Objective, OracleSession, Vector
-from .solver import DEFAULT_TERMINATION, TerminationPolicy, _Certified, drive
+from .solver import (DEFAULT_TERMINATION, Evaluated, TerminationPolicy,
+                     _Certified, drive)
 from .trace import RunReport, TraceRecord
 
 
@@ -46,12 +47,9 @@ class _Gd:
 
     def __init__(self, session: OracleSession, x0: Vector, params: GdParams):
         self.session, self.params = session, params
-        self.point = x0
-        self.f = session.value(x0)
-        self.grad = session.grad(x0)
-        self.grad_norm = math.sqrt(float(self.grad @ self.grad))
-        self.best = _Certified(x0, self.grad_norm)
-        self.anchors = [self.f]
+        self.base = Evaluated(x0, session.value(x0), session.grad(x0))
+        self.best = _Certified(x0, self.base.norm)
+        self.anchors = [self.base.f]
         self.L = params.l_init
         self.accepted = self.rejected = 0
 
@@ -60,15 +58,13 @@ class _Gd:
         return self.rejected + 1, self.L, 0.0
 
     def step(self) -> TraceRecord:
-        p, session = self.params, self.session
-        trial_L, g_norm = self.L, self.grad_norm
-        x_trial = self.point - (1.0 / trial_L) * self.grad
+        p, session, base = self.params, self.session, self.base
+        trial_L = self.L
+        x_trial = base.x - (1.0 / trial_L) * base.g
         f_trial = session.value(x_trial)
-        if f_trial <= self.f - g_norm * g_norm / (2.0 * trial_L):
-            self.point, self.f = x_trial, f_trial
-            self.grad = g = session.grad(x_trial)
-            self.grad_norm = g_norm = math.sqrt(float(g @ g))
-            self.best.consider(x_trial, g_norm)
+        if f_trial <= base.f - base.norm * base.norm / (2.0 * trial_L):
+            self.base = base = Evaluated(x_trial, f_trial, session.grad(x_trial))
+            self.best.consider(x_trial, base.norm)
             self.anchors.append(f_trial)
             self.accepted += 1
             self.L = max(p.beta * trial_L, p.l_init)
@@ -79,7 +75,7 @@ class _Gd:
             event = "RestartUnsuccessful"
         return TraceRecord(
             K=self.accepted + self.rejected, epoch=self.rejected + 1, k=self.accepted,
-            n_oracle=session.n_oracle, f_x=self.f, grad_norm_monitor=g_norm,
+            n_oracle=session.n_oracle, f_x=base.f, grad_norm_monitor=base.norm,
             grad_norm_ybar=None, L=trial_L, M=0.0, S_k=0.0, event=event,
         )
 
@@ -127,10 +123,9 @@ class _LL2022:
     def __init__(self, session: OracleSession, x0: Vector, params: LL2022Params):
         self.session, self.params = session, params
         self.momentum = params.momentum
-        self.x_prev = self.point = x0
-        self.grad = session.grad(x0)
-        self.grad_norm = math.sqrt(float(self.grad @ self.grad))
-        self.best = _Certified(x0, self.grad_norm)
+        self.x_prev = x0
+        self.base = Evaluated(x0, None, session.grad(x0))
+        self.best = _Certified(x0, self.base.norm)
         self.anchors: List[float] = []
         self.s = 0.0
         self.k = self.K = 0
@@ -144,15 +139,14 @@ class _LL2022:
         p, session = self.params, self.session
         k = self.k + 1
         self.K += 1
-        x_new = self.point - (1.0 / p.l_f) * self.grad
+        x_new = self.base.x - (1.0 / p.l_f) * self.base.g
         dx = x_new - self.x_prev
         s = self.s + float(dx @ dx)
         restart = k * p.m_f * s > p.eps
         y = x_new if restart else x_new + self.momentum * dx
-        self.x_prev, self.point = x_new, y
-        self.grad = g = session.grad(y)
-        self.grad_norm = g_norm = math.sqrt(float(g @ g))
-        self.best.consider(y, g_norm)
+        self.x_prev = x_new
+        self.base = base = Evaluated(y, None, session.grad(y))
+        self.best.consider(y, base.norm)
 
         with np.errstate(all="ignore"):
             try:
@@ -161,7 +155,7 @@ class _LL2022:
                 f_diag = float("nan")
         record = TraceRecord(
             K=self.K, epoch=self.epoch, k=k, n_oracle=session.n_oracle,
-            f_x=f_diag, grad_norm_monitor=g_norm, grad_norm_ybar=None,
+            f_x=f_diag, grad_norm_monitor=base.norm, grad_norm_ybar=None,
             L=p.l_f, M=p.m_f, S_k=s, event="RestartSuccessful" if restart else "Step",
         )
         if restart:

@@ -165,23 +165,30 @@ def _make_problem(s: dict, problem: Optional[str] = None) -> ProblemSpec:
             rank=s.get("rank"), fraction=float(s.get("fraction", 0.3)),
             data_path=s.get("data_path"),
         )
-    except (ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(str(exc))
 
 
+def _names(value, key: str) -> list:
+    """A config value naming one or several solvers or problems, as a list."""
+    if isinstance(value, str):
+        return [value]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a name or a list of names, not {value!r}")
+    return value
+
+
 def _termination(s: dict) -> agd.TerminationPolicy:
-    eps = s["eps"]
-    if eps is not None and float(eps) == 0.0:
-        eps = None  # 0 disables the gradient-norm stop
     try:
+        eps = None if s["eps"] is None else float(s["eps"])
         return agd.TerminationPolicy(
-            eps=None if eps is None else float(eps),
+            eps=None if eps == 0.0 else eps,  # 0 disables the gradient-norm stop
             max_oracle_calls=None if s["max_oracle_calls"] is None else int(s["max_oracle_calls"]),
             max_iterations=None if s["max_iterations"] is None else int(s["max_iterations"]),
             max_seconds=None if s["max_seconds"] is None else float(s["max_seconds"]),
             certify_mode=s["certify_mode"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -196,7 +203,7 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
         raise ConfigError(f"unknown solver {name!r}")
     try:
         entry, params, doc = SOLVERS[name].setup(s, pol)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     doc.update(dataclasses.asdict(pol), seed=int(s["seed"]))
 
@@ -284,9 +291,7 @@ def _thr_col(thr: float) -> str:
 def cmd_grid(args: argparse.Namespace) -> int:
     flags = {"out": args.out, "seed": args.seed}
     s = _settings(GRID_DEFAULTS, _load_config(args.config, "grid"), flags)
-    solvers = s["solvers"]
-    if isinstance(solvers, str):
-        solvers = [solvers]
+    solvers = _names(s["solvers"], "solvers")
     for name in solvers:
         if not isinstance(name, str) or name not in SOLVERS:
             raise ConfigError(f"unknown solver {name!r}")
@@ -381,9 +386,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("samples must be >= 1")
     if box <= 0:
         raise ConfigError("box must be positive")
-    names = s["problems"]
-    if isinstance(names, str):
-        names = [names]
+    names = _names(s["problems"], "problems")
 
     failures = 0
     for name in names:

@@ -8,7 +8,7 @@ seed so that rebuilding a problem reproduces the same oracle bit for bit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

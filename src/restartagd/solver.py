@@ -23,8 +23,8 @@ clock, the counted :class:`OracleSession`, the stop checks, the partial trace
 of an :class:`OracleError` and the :class:`RunReport`.  A method is a step
 object built as ``method(session, x0, params)``, which makes the first
 evaluations; ``step()`` returns one iteration's :class:`TraceRecord` (event
-``Terminated`` ends the run as ``EpsReached``), ``point`` and ``grad_norm`` are
-the next step's base point and its gradient norm, ``best`` the best evaluated
+``Terminated`` ends the run as ``EpsReached``), ``base`` is the next step's
+base point as an :class:`Evaluated` record, ``best`` the best evaluated
 gradient with its point, ``anchors`` the anchor values and ``final`` the final
 ``(epochs, L, M)``.
 """
@@ -116,88 +116,67 @@ class SolverParams:
             raise ValueError(f"unknown m_variant {self.m_variant!r}")
 
 
+class Evaluated:
+    """A point the run evaluated: ``x``, its value ``f`` (``None`` for a
+    method that never asks for one), its gradient ``g`` and ``norm`` = ||g||,
+    computed here and nowhere else.  Never mutated, so several fields of the
+    state may hold the same record."""
+
+    __slots__ = ("x", "f", "g", "norm")
+
+    def __init__(self, x: Vector, f: Optional[float], g: Vector):
+        self.x, self.f, self.g = x, f, g
+        self.norm = math.sqrt(float(g @ g))
+
+
 @dataclass
 class EpochState:
-    """Mutable state of one run: the current epoch's iterates and caches plus
-    the run-wide counters.  ``z`` and ``y_bar`` describe the averaged point
-    for the *upcoming* inner index, i.e. after iteration k they hold
-    Z_{k+1} and the average of y_0..y_k."""
+    """Mutable state of one run: the current epoch's evaluated points plus
+    the run-wide counters.  ``anchor`` is the epoch's x_0, ``prev`` and
+    ``cur`` are x_{k-1} and x_k, ``y`` is y_k.  ``y_bar`` is the averaged
+    point for the *upcoming* inner index, i.e. after iteration k it holds
+    the average of y_0..y_k, whose normalizer is Z_{k+1} = (k+2)/2."""
 
     k: int
     K: int
     epoch: int
     L: float
     M: float
-    x_prev: Vector
-    x_cur: Vector
-    y_cur: Vector
-    f_x0: float
-    f_x_prev: float
-    f_x_cur: float
-    f_y_cur: float
-    grad_x_prev: Vector
-    grad_x_cur: Vector
-    grad_y_cur: Vector
+    anchor: Evaluated
+    prev: Evaluated
+    cur: Evaluated
+    y: Evaluated
     s: float = 0.0
     s_comp: float = 0.0
-    z: float = 1.0
     y_bar: Vector = None  # type: ignore[assignment]
 
 
-def _fold_average_exact(k: int, y_bar: Vector, y: Vector):
-    """Fold ``y`` into the running average with momentum weight th = k/(k+1),
-    where th*Z_k = k/2 exactly; keeps the normalizer Z_{k+1} = (k+2)/2 bit-exact."""
-    return (k + 2.0) / 2.0, (2.0 * y + k * y_bar) / (k + 2.0)
+def _fold_average_exact(k: int, y_bar: Vector, y: Vector) -> Vector:
+    """Fold ``y`` into the running average with momentum weight th = k/(k+1).
+    Since th*Z_k = k/2 exactly, the new normalizer Z_{k+1} = (k+2)/2 is exact."""
+    return (2.0 * y + k * y_bar) / (k + 2.0)
 
 
 def new_state(x0: Vector, f0: float, g0: Vector, l_init: float, m0: float) -> EpochState:
-    return EpochState(
-        k=0, K=0, epoch=1, L=l_init, M=m0,
-        x_prev=x0, x_cur=x0, y_cur=x0,
-        f_x0=f0, f_x_prev=f0, f_x_cur=f0, f_y_cur=f0,
-        grad_x_prev=g0, grad_x_cur=g0, grad_y_cur=g0,
-        s=0.0, s_comp=0.0, z=1.0, y_bar=x0,
-    )
+    start = Evaluated(x0, f0, g0)
+    return EpochState(k=0, K=0, epoch=1, L=l_init, M=m0,
+                      anchor=start, prev=start, cur=start, y=start, y_bar=x0)
 
 
-def _begin_epoch(state: EpochState, anchor: Vector, f_anchor: float, g_anchor: Vector) -> None:
+def _begin_epoch(state: EpochState, start: Evaluated) -> None:
     state.k = 0
     state.epoch += 1
-    state.x_prev = anchor
-    state.x_cur = anchor
-    state.y_cur = anchor
-    state.f_x0 = f_anchor
-    state.f_x_prev = f_anchor
-    state.f_x_cur = f_anchor
-    state.f_y_cur = f_anchor
-    state.grad_x_prev = g_anchor
-    state.grad_x_cur = g_anchor
-    state.grad_y_cur = g_anchor
+    state.anchor = state.prev = state.cur = state.y = start
     state.s = 0.0
     state.s_comp = 0.0
-    state.z = 1.0
-    state.y_bar = anchor
-
-
-def restart_unsuccessful(state: EpochState, alpha: float) -> None:
-    """Epoch failed its descent test: re-anchor at the previous iterate and
-    raise L.  The curvature estimate M survives."""
-    state.L *= alpha
-    _begin_epoch(state, state.x_prev, state.f_x_prev, state.grad_x_prev)
-
-
-def restart_successful(state: EpochState, beta: float) -> None:
-    """Epoch made its guaranteed progress: re-anchor at the current iterate
-    and lower L.  M survives."""
-    state.L *= beta
-    _begin_epoch(state, state.x_cur, state.f_x_cur, state.grad_x_cur)
+    state.y_bar = start.x
 
 
 def descent_condition_holds(state: EpochState) -> bool:
     """Guaranteed-decrease test against the epoch anchor; equality counts as
     holding."""
-    bound = state.f_x0 - state.L * state.s / (2.0 * (state.k + 1.0))
-    return state.f_x_cur <= bound
+    bound = state.anchor.f - state.L * state.s / (2.0 * (state.k + 1.0))
+    return state.cur.f <= bound
 
 
 def restart2_triggered(state: EpochState) -> bool:
@@ -219,55 +198,52 @@ def update_m_practical(state: EpochState) -> float:
     picks up curvature times that offset no matter how small the step is.
     """
     m = state.M
+    prev, cur, y = state.prev, state.cur, state.y
     th = state.k / (state.k + 1.0)
-    xscale = 1.0 + math.sqrt(float(state.x_cur @ state.x_cur))
-    d_yx = state.y_cur - state.x_cur
+    xscale = 1.0 + math.sqrt(float(cur.x @ cur.x))
+    d_yx = y.x - cur.x
     hy2 = float(d_yx @ d_yx)
     hy = math.sqrt(hy2)
     # Cubed subnormal displacements can underflow to an exact zero, so gate
     # on the actual denominators, not on the displacement alone.
     h3 = hy2 * hy
     if h3 > 0.0:
-        gsum = state.grad_y_cur + state.grad_x_cur
-        num1 = state.f_y_cur - state.f_x_cur - 0.5 * float(gsum @ d_yx)
-        noise1 = _EPS * (abs(state.f_y_cur) + abs(state.f_x_cur)
+        gsum = y.g + cur.g
+        num1 = y.f - cur.f - 0.5 * float(gsum @ d_yx)
+        noise1 = _EPS * (abs(y.f) + abs(cur.f)
                          + 0.5 * math.sqrt(float(gsum @ gsum)) * hy)
         if num1 > _NOISE_GUARD * noise1:
             m = max(m, 12.0 * num1 / h3)
-    dx = state.x_cur - state.x_prev
+    dx = cur.x - prev.x
     dx2 = float(dx @ dx)
     den2 = th * dx2
     if den2 > 0.0:
-        comb = state.grad_y_cur + th * state.grad_x_prev - (1.0 + th) * state.grad_x_cur
+        comb = y.g + th * prev.g - (1.0 + th) * cur.g
         num2 = math.sqrt(float(comb @ comb))
-        noise2 = _EPS * (
-            math.sqrt(float(state.grad_y_cur @ state.grad_y_cur))
-            + th * math.sqrt(float(state.grad_x_prev @ state.grad_x_prev))
-            + (1.0 + th) * math.sqrt(float(state.grad_x_cur @ state.grad_x_cur))
-            + state.L * xscale
-        )
+        noise2 = _EPS * (y.norm + th * prev.norm + (1.0 + th) * cur.norm
+                         + state.L * xscale)
         if num2 > _NOISE_GUARD * noise2:
             m = max(m, num2 / den2)
     return m
 
 
 def update_m_theoretical(state: EpochState, grad_ybar_norm: float) -> float:
-    """Practical update plus a third ratio measured at the averaged point.
+    """Practical update plus a third ratio measured at the averaged point,
+    whose normalizer is Z_k = (k+1)/2.
 
-    Call with ``state.z`` still holding Z_k (i.e. before folding y_k into the
-    average).  The extra term is skipped at k = 1 and whenever it is
-    non-positive or inside its noise floor; like the momentum ratio, its
-    floor carries a Z^2*L*(1+||x||) term because the identity it rests on is
-    only exact for unrounded iterates.
+    The extra term is skipped at k = 1 and whenever it is non-positive or
+    inside its noise floor; like the momentum ratio, its floor carries a
+    Z^2*L*(1+||x||) term because the identity it rests on is only exact for
+    unrounded iterates.
     """
     m = update_m_practical(state)
     k = state.k
     if k < 2 or state.s <= 0.0:
         return m
-    dx = state.x_cur - state.x_prev
+    dx = state.cur.x - state.prev.x
     h = math.sqrt(float(dx @ dx))
-    z = state.z
-    xscale = 1.0 + math.sqrt(float(state.x_cur @ state.x_cur))
+    z = (k + 1.0) / 2.0
+    xscale = 1.0 + math.sqrt(float(state.cur.x @ state.cur.x))
     a = z * z * grad_ybar_norm
     b = z * state.L * h
     num3 = a - b
@@ -312,77 +288,60 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     th = k / (k + 1.0)
     step_L = state.L
 
-    x_new = state.y_cur - (1.0 / step_L) * state.grad_y_cur
-    dx = x_new - state.x_cur
+    x_new = state.y.x - (1.0 / step_L) * state.y.g
+    dx = x_new - state.cur.x
     dx2 = float(dx @ dx)
     y_new = x_new + th * dx
 
-    state.x_prev = state.x_cur
-    state.f_x_prev = state.f_x_cur
-    state.grad_x_prev = state.grad_x_cur
-    state.x_cur = x_new
-    state.y_cur = y_new
-
-    f_x = session.value(x_new)
-    g_x = session.grad(x_new)
-    f_y = session.value(y_new)
-    g_y = session.grad(y_new)
-    state.f_x_cur = f_x
-    state.grad_x_cur = g_x
-    state.f_y_cur = f_y
-    state.grad_y_cur = g_y
+    state.prev = state.cur
+    state.cur = cur = Evaluated(x_new, session.value(x_new), session.grad(x_new))
+    state.y = y = Evaluated(y_new, session.value(y_new), session.grad(y_new))
     _kahan_add(state, dx2)
-
-    gx_norm = math.sqrt(float(g_x @ g_x))
-    gy_norm = math.sqrt(float(g_y @ g_y))
-    monitor = min(gx_norm, gy_norm)
+    monitor = min(cur.norm, y.norm)
 
     ybar_k = state.y_bar  # average of y_0..y_{k-1}: the certifiable point
-    grad_ybar_norm: Optional[float] = None
-
+    ybar: Optional[Evaluated] = None
     if params.m_variant == M_THEORETICAL:
-        g_ybar = session.grad(ybar_k)
-        grad_ybar_norm = math.sqrt(float(g_ybar @ g_ybar))
-        best.consider(ybar_k, grad_ybar_norm)
-        state.M = update_m_theoretical(state, grad_ybar_norm)
+        ybar = Evaluated(ybar_k, None, session.grad(ybar_k))
+        state.M = update_m_theoretical(state, ybar.norm)
     else:
         state.M = update_m_practical(state)
 
-    state.z, state.y_bar = _fold_average_exact(k, ybar_k, y_new)
+    state.y_bar = _fold_average_exact(k, ybar_k, y_new)
 
     if descent_condition_holds(state):
         kind = "RestartSuccessful" if restart2_triggered(state) else "Step"
     else:
         kind = "RestartUnsuccessful"
 
-    if params.m_variant != M_THEORETICAL:
-        want_cert = (
-            pol.certify_mode == CERTIFY_EVERY_ITER
-            or kind in ("RestartUnsuccessful", "RestartSuccessful")
-            or (pol.eps is not None and monitor <= pol.eps)
-        )
-        if want_cert:
-            g_ybar = session.grad(ybar_k)
-            grad_ybar_norm = math.sqrt(float(g_ybar @ g_ybar))
-            best.consider(ybar_k, grad_ybar_norm)
+    if ybar is None and (pol.certify_mode == CERTIFY_EVERY_ITER or kind != "Step"
+                         or (pol.eps is not None and monitor <= pol.eps)):
+        ybar = Evaluated(ybar_k, None, session.grad(ybar_k))
+    if ybar is not None:
+        best.consider(ybar_k, ybar.norm)
 
     if pol.certify_mode == CERTIFY_ON_CANDIDATE:
-        best.consider(x_new, gx_norm)
-        best.consider(y_new, gy_norm)
+        best.consider(x_new, cur.norm)
+        best.consider(y_new, y.norm)
 
     if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
         kind = "Terminated"
 
     record = TraceRecord(
         K=state.K, epoch=state.epoch, k=k, n_oracle=session.n_oracle,
-        f_x=f_x, grad_norm_monitor=monitor, grad_norm_ybar=grad_ybar_norm,
+        f_x=cur.f, grad_norm_monitor=monitor,
+        grad_norm_ybar=None if ybar is None else ybar.norm,
         L=step_L, M=state.M, S_k=state.s, event=kind,
     )
 
+    # A failed descent test re-anchors at x_{k-1} and raises L; a met
+    # progress test re-anchors at x_k and lowers L.  M survives both.
     if kind == "RestartUnsuccessful":
-        restart_unsuccessful(state, params.alpha)
+        state.L *= params.alpha
+        _begin_epoch(state, state.prev)
     elif kind == "RestartSuccessful":
-        restart_successful(state, params.beta)
+        state.L *= params.beta
+        _begin_epoch(state, state.cur)
 
     return record
 
@@ -395,17 +354,12 @@ class _Proposed:
         g0 = session.grad(x0)
         self.session, self.params = session, params
         self.state = new_state(x0, f0, g0, params.l_init, params.m0)
-        self.best = _Certified(x0, math.sqrt(float(g0 @ g0)))
+        self.best = _Certified(x0, self.state.anchor.norm)
         self.anchors = [f0]
 
     @property
-    def point(self) -> Vector:
-        return self.state.y_cur
-
-    @property
-    def grad_norm(self) -> float:
-        g = self.state.grad_y_cur
-        return math.sqrt(float(g @ g))
+    def base(self) -> Evaluated:
+        return self.state.y
 
     @property
     def final(self):
@@ -414,7 +368,7 @@ class _Proposed:
     def step(self) -> TraceRecord:
         record = agd_step(self.state, self.session, self.params, self.best)
         if record.event in ("RestartUnsuccessful", "RestartSuccessful"):
-            self.anchors.append(self.state.f_x0)
+            self.anchors.append(self.state.anchor.f)
         return record
 
 
@@ -431,8 +385,8 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
         m = method(session, as_point(x_init, obj.dim), params)
         best = m.best
         while True:
-            if m.grad_norm == 0.0:
-                best.consider(m.point, 0.0)
+            if m.base.norm == 0.0:
+                best.consider(m.base.x, 0.0)
                 reason = "Stationary"
                 break
             if pol.eps is not None and best.norm <= pol.eps:

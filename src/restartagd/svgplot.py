@@ -7,7 +7,7 @@ long traces are stride-downsampled so files stay small.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .trace import TraceRecord
 

@@ -9,7 +9,6 @@ once.  Every test prints a one-line summary (visible under ``pytest -s``)."""
 
 import math
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest

@@ -1,8 +1,6 @@
 """Inequality checks: tight cases by hand, failure witnesses, the sampled
 curvature estimator, and the potential function identity."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -230,6 +230,14 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("verify", "l_scale: abc", 2),
     ("verify", "m_scale: [1, 2]", 2),
     ("verify", "seed: abc", 2),
+    ("run", "seed: null", 2),
+    ("run", "lam: null\n  problem: quadratic", 2),
+    ("run", "rank: x\n  problem: matcomp_synthetic", 2),
+    ("verify", "dim: abc", 2),
+    ("run", "solver: gd\n  alpha: null", 2),
+    ("run", "eps: [1]", 2),
+    ("grid", "solvers: 5", 2),
+    ("verify", "problems: 5", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"

@@ -65,10 +65,10 @@ def test_potential_decreases_every_iteration():
         state = m.state
         snaps.append({
             "kind": rec.event, "k": rec.k, "L": rec.L, "M": rec.M,
-            "f_cur": state.f_x_cur, "x_cur": state.x_cur.copy(),
-            "g_cur": state.grad_x_cur.copy(),
-            "f_prev": state.f_x_prev, "x_prev": state.x_prev.copy(),
-            "g_prev": state.grad_x_prev.copy(),
+            "f_cur": state.cur.f, "x_cur": state.cur.x.copy(),
+            "g_cur": state.cur.g.copy(),
+            "f_prev": state.prev.f, "x_prev": state.prev.x.copy(),
+            "g_prev": state.prev.g.copy(),
         })
 
     _, report = solve("cosine_sum", l_init=1.0, beta=1.0, m0=1.0,

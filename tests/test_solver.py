@@ -9,8 +9,8 @@ import pytest
 
 from restartagd import (GdParams, LL2022Params, NonFiniteGradient,
                         SolverParams, TerminationPolicy, gd_run, ll2022_run,
-                        make_problem, quadratic, rosenbrock, run)
-from restartagd.solver import (EpochState, _fold_average_exact, agd_step,
+                        make_problem, quadratic, run)
+from restartagd.solver import (Evaluated, _fold_average_exact, agd_step,
                                descent_condition_holds, new_state,
                                restart2_triggered, update_m_practical,
                                update_m_theoretical)
@@ -46,9 +46,9 @@ def test_exact_fold_matches_generic_recursion():
     z_ref = 1.0
     for k in range(1, 200):
         y = rng.standard_normal(4)
-        z_exact, y_bar = _fold_average_exact(k, y_bar, y)
+        y_bar = _fold_average_exact(k, y_bar, y)
         z_ref, y_bar_ref = update_average(z_ref, y_bar_ref, y, theta(k))
-        assert z_exact == (k + 2.0) / 2.0
+        assert z_ref == (k + 2.0) / 2.0
         np.testing.assert_allclose(y_bar, y_bar_ref, rtol=1e-13)
 
 
@@ -61,7 +61,7 @@ def test_average_recursion_matches_direct_sum():
     for k in range(1, 301):
         y = rng.standard_normal(3)
         ys.append(y)
-        _, y_bar = _fold_average_exact(k, y_bar, y)
+        y_bar = _fold_average_exact(k, y_bar, y)
         direct = sum((i + 1) * ys[i] for i in range(k + 1))
         direct *= 2.0 / ((k + 1) * (k + 2))
         np.testing.assert_allclose(y_bar, direct, rtol=1e-10, atol=1e-12)
@@ -109,9 +109,16 @@ def test_solver_params_validation():
 # restart tests on hand-built states
 
 
-def _bare_state(**overrides):
+def _bare_state(f_x0=0.0, f_x_cur=0.0, x_prev=None, x_cur=None, y_cur=None,
+                **overrides):
     x = np.zeros(2)
     st = new_state(x, 0.0, x.copy(), l_init=1.0, m0=1e-16)
+
+    def point(at, f):
+        return Evaluated(x if at is None else at, f, x.copy())
+
+    st.anchor, st.prev = point(None, f_x0), point(x_prev, 0.0)
+    st.cur, st.y = point(x_cur, f_x_cur), point(y_cur, 0.0)
     for key, val in overrides.items():
         setattr(st, key, val)
     return st
@@ -121,9 +128,9 @@ def test_descent_boundary_equality_counts_as_holding():
     # bound = f_x0 - L*S/(2(k+1)) = 1 - 2*1/4 = 0.5
     st = _bare_state(f_x0=1.0, L=2.0, k=1, s=1.0, f_x_cur=0.5)
     assert descent_condition_holds(st)
-    st.f_x_cur = 0.5 + 1e-12
+    st.cur = Evaluated(st.cur.x, 0.5 + 1e-12, st.cur.g)
     assert not descent_condition_holds(st)
-    st.f_x_cur = 0.25
+    st.cur = Evaluated(st.cur.x, 0.25, st.cur.g)
     assert descent_condition_holds(st)
 
 
@@ -147,7 +154,7 @@ def test_update_m_theoretical_extra_ratio():
     # Zero gradients and values silence both practical ratios; the averaged
     # point ratio with z=Z_2=1.5, L=1, h=1, S=1 and ||grad(ybar)||=10 gives
     # a = z^2*10 = 22.5, b = z*L*h = 1.5, so M = 16(a-b)/((k-1)(k+5)^2 S).
-    st = _bare_state(k=2, s=1.0, z=1.5, L=1.0,
+    st = _bare_state(k=2, s=1.0, L=1.0,
                      x_prev=np.zeros(2), x_cur=np.array([1.0, 0.0]),
                      y_cur=np.array([1.0, 0.0]))
     got = update_m_theoretical(st, grad_ybar_norm=10.0)
@@ -187,7 +194,7 @@ def test_first_step_from_origin_is_wild_and_restarts():
     assert rec.K == 1 and rec.k == 1
     assert rec.f_x == spec.objective.value_fn(np.array([2000.0, 0.0]))
     # After the restart: re-anchored at the old point, L doubled, M kept.
-    np.testing.assert_array_equal(st.x_cur, x0)
+    np.testing.assert_array_equal(st.cur.x, x0)
     assert st.L == 2e-3
     assert st.k == 0 and st.epoch == 2
     assert st.s == 0.0
@@ -349,13 +356,55 @@ def test_anchor_values_never_increase():
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
-def test_certificate_is_a_real_gradient():
-    spec = make_problem("rosenbrock")
-    rep = run(spec.objective, spec.x_init,
-              SolverParams(termination=TerminationPolicy(
-                  eps=1e-6, max_oracle_calls=100_000)))
+CERTIFYING = {
+    "practical": lambda obj, x0, l, pol: run(obj, x0, SolverParams(l_init=l, termination=pol)),
+    "theoretical": lambda obj, x0, l, pol: run(obj, x0, SolverParams(
+        l_init=l, m_variant="theoretical", termination=pol)),
+    "every_iter": lambda obj, x0, l, pol: run(obj, x0, SolverParams(
+        l_init=l, termination=dataclasses.replace(pol, certify_mode="EveryIter"))),
+    "gd": lambda obj, x0, l, pol: gd_run(obj, x0, GdParams(l_init=l, termination=pol)),
+    "ll2022": lambda obj, x0, l, pol: ll2022_run(obj, x0, LL2022Params(l_f=l, termination=pol)),
+}
+
+
+# (starting curvature guess, oracle budget): every method runs without
+# diverging; proposed reaches eps on both, the rest stop on the budget.
+@pytest.mark.parametrize("problem, l_init, calls", [
+    ("rosenbrock", 1e3, 20_000), ("matcomp_synthetic", 10.0, 6_000)],
+    ids=["rosenbrock", "matcomp_synthetic"])
+@pytest.mark.parametrize("method", sorted(CERTIFYING))
+def test_certificate_is_a_real_gradient(method, problem, l_init, calls):
+    spec = make_problem(problem)
+    pol = TerminationPolicy(eps=1e-6, max_oracle_calls=calls)
+    rep = CERTIFYING[method](spec.objective, spec.x_init, l_init, pol)
     g = spec.objective.grad_fn(rep.solution)
     assert math.sqrt(float(g @ g)) == rep.certified_grad_norm
+
+
+@pytest.mark.parametrize("variant", ["practical", "theoretical"])
+@pytest.mark.parametrize("problem", ["cosine_sum", "matcomp_synthetic"])
+def test_state_records_are_fresh_evaluations(problem, variant):
+    spec = make_problem(problem)
+    obj = spec.objective
+    events = []
+
+    def check(m, rec):
+        st = m.state
+        for name in ("anchor", "prev", "cur", "y"):
+            point = getattr(st, name)
+            g = obj.grad_fn(point.x)
+            assert point.f == obj.value_fn(point.x), name
+            np.testing.assert_array_equal(point.g, g, err_msg=name)
+            assert point.norm == math.sqrt(float(g @ g)), name
+        if rec.event != "Step":
+            assert st.prev is st.anchor and st.cur is st.anchor and st.y is st.anchor
+            assert m.base is st.anchor
+        events.append(rec.event)
+
+    run(obj, spec.x_init, SolverParams(m_variant=variant, termination=TerminationPolicy(
+        max_iterations=150)), observer=check)
+    assert len(events) == 150
+    assert "RestartUnsuccessful" in events and "RestartSuccessful" in events
 
 
 def test_observer_sees_every_iteration():
