@@ -11,8 +11,8 @@ from .baselines import GdParams, LL2022Params, ParamError, gd_run, ll2022_run
 from .checks import (InequalityReport, WeightError, check_descent_lemma,
                      check_jensen_gradient, check_trapezoid,
                      estimate_M_bruteforce, potential)
-from .oracle import (EvalCounter, NonFiniteGradient, NonFiniteValue, Objective,
-                     OracleError, OracleSession, as_point, fd_gradient)
+from .oracle import (NonFiniteGradient, NonFiniteValue, Objective, OracleError,
+                     OracleSession, as_point, fd_gradient)
 from .problems import (DATA_ENV_VAR, PROBLEM_NAMES, DimensionError,
                        MatrixCompletionInstance, ParseError, ProblemSpec,
                        completion_init, cosine_sum, load_movielens_100k,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CERTIFY_EVERY_ITER", "CERTIFY_ON_CANDIDATE", "DATA_ENV_VAR",
-    "DimensionError", "EvalCounter", "GdParams", "InequalityReport",
+    "DimensionError", "GdParams", "InequalityReport",
     "LL2022Params", "M_PRACTICAL", "M_THEORETICAL",
     "MatrixCompletionInstance", "NonFiniteGradient", "NonFiniteValue",
     "Objective", "OracleError", "OracleSession", "PROBLEM_NAMES",

@@ -129,13 +129,9 @@ def estimate_M_bruteforce(obj: Objective, region: Tuple[Vector, Vector],
         h2 = float(d @ d)
         if h2 == 0.0:
             continue
-        h = math.sqrt(h2)
-        gx = np.asarray(obj.grad_fn(x))
-        gy = np.asarray(obj.grad_fn(y))
-        gap = obj.value_fn(x) - obj.value_fn(y) - 0.5 * float((gx + gy) @ d)
-        estimate = max(estimate, 12.0 * abs(gap) / (h2 * h))
-        gm = np.asarray(obj.grad_fn(0.5 * (x + y)))
-        err = float(np.linalg.norm(gm - 0.5 * (gx + gy)))
+        gap = check_trapezoid(obj, x, y, 0.0).lhs
+        estimate = max(estimate, 12.0 * abs(gap) / (h2 * math.sqrt(h2)))
+        err = check_jensen_gradient(obj, (x, y), (0.5, 0.5), 0.0).lhs
         estimate = max(estimate, 8.0 * err / h2)
     return estimate
 

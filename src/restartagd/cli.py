@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -25,8 +25,8 @@ from . import solver as agd
 from .oracle import OracleError
 from .problems import PROBLEM_NAMES, ProblemSpec, make_problem
 from .svgplot import write_traces_svg
-from .trace import (RunReport, TraceRecord, read_trace_csv, report_to_dict,
-                    write_report_json, write_trace_csv)
+from .trace import (RunReport, read_trace_csv, report_to_dict, write_report_json,
+                    write_trace_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -145,16 +145,24 @@ def _load_config(path: Optional[str], section: str) -> dict:
     return sec
 
 
-def _settings(defaults: dict, config: dict, flags: dict) -> dict:
+def _settings(defaults: dict, args: argparse.Namespace, section: str) -> dict:
+    """``defaults`` overridden by the config file's ``section``, then by every
+    command-line flag that names a setting and was given."""
     merged = dict(defaults)
-    for key, val in config.items():
+    for key, val in _load_config(args.config, section).items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = val
-    for key, val in flags.items():
-        if val is not None:
+    for key, val in vars(args).items():
+        if key in defaults and val is not None:
             merged[key] = val
     return merged
+
+
+def _solver(name) -> _Solver:
+    if not isinstance(name, str) or name not in SOLVERS:
+        raise ConfigError(f"unknown solver {name!r}")
+    return SOLVERS[name]
 
 
 def _make_problem(s: dict, problem: Optional[str] = None) -> ProblemSpec:
@@ -178,13 +186,21 @@ def _names(value, key: str) -> list:
     return value
 
 
+def _budget(s: dict, key: str) -> Optional[int]:
+    """A budget setting as an int; a fractional number is a ConfigError."""
+    val = s[key]
+    if isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"{key} must be a whole number, not {val!r}")
+    return None if val is None else int(val)
+
+
 def _termination(s: dict) -> agd.TerminationPolicy:
     try:
         eps = None if s["eps"] is None else float(s["eps"])
         return agd.TerminationPolicy(
             eps=None if eps == 0.0 else eps,  # 0 disables the gradient-norm stop
-            max_oracle_calls=None if s["max_oracle_calls"] is None else int(s["max_oracle_calls"]),
-            max_iterations=None if s["max_iterations"] is None else int(s["max_iterations"]),
+            max_oracle_calls=_budget(s, "max_oracle_calls"),
+            max_iterations=_budget(s, "max_iterations"),
             max_seconds=None if s["max_seconds"] is None else float(s["max_seconds"]),
             certify_mode=s["certify_mode"],
         )
@@ -198,11 +214,9 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
     pol = _termination(s)
-    name = s["solver"]
-    if not isinstance(name, str) or name not in SOLVERS:
-        raise ConfigError(f"unknown solver {name!r}")
+    setup = _solver(s["solver"]).setup
     try:
-        entry, params, doc = SOLVERS[name].setup(s, pol)
+        entry, params, doc = setup(s, pol)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     doc.update(dataclasses.asdict(pol), seed=int(s["seed"]))
@@ -219,11 +233,7 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    flags = {k: getattr(args, k) for k in
-             ("problem", "solver", "m_variant", "l_init", "m0", "alpha", "beta",
-              "eps", "max_oracle_calls", "max_iterations", "max_seconds",
-              "seed", "out")}
-    s = _settings(RUN_DEFAULTS, _load_config(args.config, "run"), flags)
+    s = _settings(RUN_DEFAULTS, args, "run")
     spec = _make_problem(s)
     out_dir = s["out"] or os.path.join("runs", f"{spec.name}_{s['solver']}")
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -243,22 +253,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _calls_to_thresholds(records: Sequence[TraceRecord],
-                         thresholds: Sequence[float]) -> List[Optional[int]]:
-    hits: List[Optional[int]] = [None] * len(thresholds)
-    best = math.inf
-    for rec in records:
-        cert = rec.grad_norm_monitor
-        if rec.grad_norm_ybar is not None:
-            cert = min(cert, rec.grad_norm_ybar)
-        if cert < best:
-            best = cert
-            for i, thr in enumerate(thresholds):
-                if hits[i] is None and best <= thr:
-                    hits[i] = rec.n_oracle
-    return hits
-
-
 def _grid_worker(payload: dict) -> dict:
     s = payload["settings"]
     spec = _make_problem(s)
@@ -273,13 +267,13 @@ def _grid_worker(payload: dict) -> dict:
         report = _solve_into(payload["cell_dir"], spec, s)
     except OracleError as exc:
         row["error"] = str(exc)
-        for thr in thresholds:
-            row[_thr_col(thr)] = ""
-        return row
+        return row  # the summary leaves its threshold columns empty
     row["reason"] = report.reason
     row["certified_grad_norm"] = repr(float(report.certified_grad_norm))
     row["n_oracle"] = str(report.n_oracle)
-    for thr, hit in zip(thresholds, _calls_to_thresholds(report.trace, thresholds)):
+    calls, norms = report.certified
+    for thr in thresholds:
+        hit = next((c for c, norm in zip(calls, norms) if norm <= thr), None)
         row[_thr_col(thr)] = "" if hit is None else str(hit)
     return row
 
@@ -289,12 +283,8 @@ def _thr_col(thr: float) -> str:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    flags = {"out": args.out, "seed": args.seed}
-    s = _settings(GRID_DEFAULTS, _load_config(args.config, "grid"), flags)
-    solvers = _names(s["solvers"], "solvers")
-    for name in solvers:
-        if not isinstance(name, str) or name not in SOLVERS:
-            raise ConfigError(f"unknown solver {name!r}")
+    s = _settings(GRID_DEFAULTS, args, "grid")
+    solvers = [(name, _solver(name)) for name in _names(s["solvers"], "solvers")]
     try:
         l_values = [float(v) for v in np.atleast_1d(s["l_init"])]
         m_values = [float(v) for v in np.atleast_1d(s["m0"])]
@@ -305,8 +295,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     payloads = []
-    for solver_name in solvers:
-        m_axis = m_values if SOLVERS[solver_name].sweeps_m0 else [None]
+    for solver_name, solver in solvers:
+        m_axis = m_values if solver.sweeps_m0 else [None]
         for l_val in l_values:
             for m_val in m_axis:
                 cell = dict(s, solver=solver_name, l_init=l_val, m0=m_val)
@@ -331,8 +321,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     for row in rows:
         status = row["error"] or row["reason"]
         print(f"{row['solver']:9s} l_init={row['l_init']:>8s} m0={row['m0']:>8s} "
@@ -372,8 +361,7 @@ def _box_constants(spec: ProblemSpec, half_width: float) -> Tuple[float, float]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    flags = {"samples": args.samples, "seed": args.seed}
-    s = _settings(VERIFY_DEFAULTS, _load_config(args.config, "verify"), flags)
+    s = _settings(VERIFY_DEFAULTS, args, "verify")
     try:
         samples = int(s["samples"])
         box = float(s["box"])
@@ -395,29 +383,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         L, M = _box_constants(spec, box)
         L *= l_scale
         M *= m_scale
-        lo, hi = -box, box
 
-        suites = {"descent_lemma": None, "trapezoid": None, "jensen_gradient": None}
-        for check_name in suites:
+        def pair():
+            return rng.uniform(-box, box, obj.dim), rng.uniform(-box, box, obj.dim)
+
+        def jensen():
+            n = int(rng.integers(2, 6))
+            pts = [rng.uniform(-box, box, obj.dim) for _ in range(n)]
+            w = rng.dirichlet(np.ones(n))
+            return checks.check_jensen_gradient(obj, pts, w / w.sum(), M)
+
+        suites = (("descent_lemma", lambda: checks.check_descent_lemma(obj, *pair(), L)),
+                  ("trapezoid", lambda: checks.check_trapezoid(obj, *pair(), M)),
+                  ("jensen_gradient", jensen))
+        for check_name, sample in suites:
             worst = math.inf
             bad = None
             for _ in range(samples):
-                if check_name == "descent_lemma":
-                    x = rng.uniform(lo, hi, obj.dim)
-                    y = rng.uniform(lo, hi, obj.dim)
-                    rep = checks.check_descent_lemma(obj, x, y, L)
-                elif check_name == "trapezoid":
-                    x = rng.uniform(lo, hi, obj.dim)
-                    y = rng.uniform(lo, hi, obj.dim)
-                    rep = checks.check_trapezoid(obj, x, y, M)
-                else:
-                    n = int(rng.integers(2, 6))
-                    pts = [rng.uniform(lo, hi, obj.dim) for _ in range(n)]
-                    w = rng.dirichlet(np.ones(n))
-                    w = w / w.sum()
-                    rep = checks.check_jensen_gradient(obj, pts, w, M)
-                if rep.slack < worst:
-                    worst = rep.slack
+                rep = sample()
+                worst = min(worst, rep.slack)
                 if not rep.holds and bad is None:
                     bad = rep
             verdict = "PASS" if bad is None else "FAIL"

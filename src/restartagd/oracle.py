@@ -75,27 +75,18 @@ class Objective:
             raise ValueError("dim must be >= 1")
 
 
-@dataclass
-class EvalCounter:
-    n_value: int = 0
-    n_grad: int = 0
-
-    @property
-    def n_oracle(self) -> int:
-        return self.n_value + self.n_grad
-
-
 class OracleSession:
     """Counted access to one objective for the duration of one run.
 
-    A session owns its :class:`EvalCounter`.  Each channel (value, gradient)
-    keeps a single-slot memo of the most recent query point, so asking twice
-    in a row for the same bitwise-identical point costs one evaluation.
+    A session counts its own evaluations (``n_value``, ``n_grad``).  Each
+    channel keeps a single-slot memo of the most recent query point, so asking
+    twice in a row for the same bitwise-identical point costs one evaluation.
     """
 
     def __init__(self, obj: Objective):
         self.obj = obj
-        self.counter = EvalCounter()
+        self.n_value = 0
+        self.n_grad = 0
         self._value_key: Optional[bytes] = None
         self._value_cached: float = 0.0
         self._grad_key: Optional[bytes] = None
@@ -107,7 +98,7 @@ class OracleSession:
             return self._value_cached
         with np.errstate(all="ignore"):
             v = float(self.obj.value_fn(x))
-        self.counter.n_value += 1
+        self.n_value += 1
         if not np.isfinite(v):
             raise NonFiniteValue(x, v)
         lb = self.obj.lower_bound
@@ -125,7 +116,7 @@ class OracleSession:
             return self._grad_cached
         with np.errstate(all="ignore"):
             g = np.asarray(self.obj.grad_fn(x), dtype=np.float64)
-        self.counter.n_grad += 1
+        self.n_grad += 1
         if g.shape != (self.obj.dim,):
             raise OracleError(f"gradient has shape {g.shape}, expected ({self.obj.dim},)")
         if not np.all(np.isfinite(g)):
@@ -136,7 +127,7 @@ class OracleSession:
 
     @property
     def n_oracle(self) -> int:
-        return self.counter.n_oracle
+        return self.n_value + self.n_grad
 
 
 def fd_gradient(obj: Objective, x: Vector, h: Optional[float] = None) -> Vector:

@@ -274,7 +274,6 @@ class ProblemSpec:
     name: str
     objective: Objective
     x_init: Vector
-    seed: int = 0
 
 
 DATA_ENV_VAR = "RESTARTAGD_DATA"
@@ -294,22 +293,18 @@ def make_problem(name: str, seed: int = 0, dim: Optional[int] = None,
     variable.
     """
     if name == "rosenbrock":
-        return ProblemSpec(name, rosenbrock(), as_point([-1.0, 1.0]), seed)
-    if name == "quadratic":
-        d = dim or 10
+        return ProblemSpec(name, rosenbrock(), as_point([-1.0, 1.0]))
+    if name in ("quadratic", "cosine_sum"):
+        d = 10 if dim is None else dim
         rng = np.random.default_rng(seed)
-        return ProblemSpec(name, quadratic(d, lam), rng.standard_normal(d), seed)
-    if name == "cosine_sum":
-        d = dim or 10
-        rng = np.random.default_rng(seed)
-        return ProblemSpec(name, cosine_sum(d), rng.uniform(-3.0, 3.0, d), seed)
+        if name == "quadratic":
+            return ProblemSpec(name, quadratic(d, lam), rng.standard_normal(d))
+        return ProblemSpec(name, cosine_sum(d), rng.uniform(-3.0, 3.0, d))
     if name == "matcomp_synthetic":
-        r = rank or 5
+        r = 5 if rank is None else rank
         inst = synthetic_completion_instance(rank=r, fraction=fraction, seed=seed)
-        return ProblemSpec(name, matrix_completion(inst, r),
-                           completion_init(inst, r, seed + 1), seed)
-    if name == "movielens":
-        r = rank or 100
+    elif name == "movielens":
+        r = 100 if rank is None else rank
         if data_path is None:
             root = os.environ.get(DATA_ENV_VAR)
             if root is None:
@@ -318,6 +313,6 @@ def make_problem(name: str, seed: int = 0, dim: Optional[int] = None,
                 )
             data_path = os.path.join(root, "u.data")
         inst = load_movielens_100k(data_path)
-        return ProblemSpec(name, matrix_completion(inst, r),
-                           completion_init(inst, r, seed + 1), seed)
-    raise ValueError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}")
+    else:
+        raise ValueError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}")
+    return ProblemSpec(name, matrix_completion(inst, r), completion_init(inst, r, seed + 1))

@@ -20,11 +20,12 @@ whose gradient was genuinely evaluated.
 
 This method and the baselines all run through :func:`drive`, which owns the
 clock, the counted :class:`OracleSession`, the stop checks, the partial trace
-of an :class:`OracleError` and the :class:`RunReport`.  A method is a step
-object built as ``method(session, x0, params)``, which makes the first
-evaluations; ``step()`` returns one iteration's :class:`TraceRecord` (event
-``Terminated`` ends the run as ``EpsReached``), ``base`` is the next step's
-base point as an :class:`Evaluated` record, ``best`` the best evaluated
+of an :class:`OracleError`, the :class:`RunReport` and its certified path
+(``certified``: the call count at each fall of the certified norm).  A method
+is a step object built as ``method(session, x0, params)``, which makes the
+first evaluations; ``step()`` returns one iteration's :class:`TraceRecord`
+(event ``Terminated`` ends the run as ``EpsReached``), ``base`` is the next
+step's base point as an :class:`Evaluated` record, ``best`` the best evaluated
 gradient with its point, ``anchors`` the anchor values and ``final`` the final
 ``(epochs, L, M)``.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -185,10 +187,12 @@ def restart2_triggered(state: EpochState) -> bool:
     return (k1 ** 5) * state.M * state.M * state.s > state.L * state.L
 
 
-def update_m_practical(state: EpochState) -> float:
-    """Raise M to cover the two measured third-order ratios at the newest
-    iterate pair: the trapezoid gap between x_k and y_k, and the momentum
-    interpolation error against x_{k-1}.
+def update_m(state: EpochState, grad_ybar_norm: Optional[float] = None) -> float:
+    """Raise M to cover the measured third-order ratios at the newest iterate
+    pair: the trapezoid gap between x_k and y_k, the momentum interpolation
+    error against x_{k-1} and, when ``grad_ybar_norm`` (the theoretical
+    variant) is given, a ratio at the averaged point, whose normalizer is
+    Z_k = (k+1)/2.
 
     Zero-displacement ratios are skipped (0/0 reads as no information), and a
     ratio whose numerator is within floating-point noise of zero is skipped
@@ -196,10 +200,14 @@ def update_m_practical(state: EpochState) -> float:
     L*(1+||x||) term: y_k is stored rounded, so it sits off the exact
     momentum ray by an ulp of the iterate, and the gradient combination
     picks up curvature times that offset no matter how small the step is.
+    The third ratio is skipped at k = 1 and whenever it is non-positive or
+    inside its noise floor; its floor carries a Z^2*L*(1+||x||) term for the
+    same reason.
     """
     m = state.M
     prev, cur, y = state.prev, state.cur, state.y
-    th = state.k / (state.k + 1.0)
+    k = state.k
+    th = k / (k + 1.0)
     xscale = 1.0 + math.sqrt(float(cur.x @ cur.x))
     d_yx = y.x - cur.x
     hy2 = float(d_yx @ d_yx)
@@ -224,28 +232,11 @@ def update_m_practical(state: EpochState) -> float:
                          + state.L * xscale)
         if num2 > _NOISE_GUARD * noise2:
             m = max(m, num2 / den2)
-    return m
-
-
-def update_m_theoretical(state: EpochState, grad_ybar_norm: float) -> float:
-    """Practical update plus a third ratio measured at the averaged point,
-    whose normalizer is Z_k = (k+1)/2.
-
-    The extra term is skipped at k = 1 and whenever it is non-positive or
-    inside its noise floor; like the momentum ratio, its floor carries a
-    Z^2*L*(1+||x||) term because the identity it rests on is only exact for
-    unrounded iterates.
-    """
-    m = update_m_practical(state)
-    k = state.k
-    if k < 2 or state.s <= 0.0:
+    if grad_ybar_norm is None or k < 2 or state.s <= 0.0:
         return m
-    dx = state.cur.x - state.prev.x
-    h = math.sqrt(float(dx @ dx))
     z = (k + 1.0) / 2.0
-    xscale = 1.0 + math.sqrt(float(state.cur.x @ state.cur.x))
     a = z * z * grad_ybar_norm
-    b = z * state.L * h
+    b = z * state.L * math.sqrt(dx2)
     num3 = a - b
     noise3 = _EPS * (a + b + z * z * state.L * xscale)
     if num3 > _NOISE_GUARD * noise3:
@@ -303,9 +294,7 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     ybar: Optional[Evaluated] = None
     if params.m_variant == M_THEORETICAL:
         ybar = Evaluated(ybar_k, None, session.grad(ybar_k))
-        state.M = update_m_theoretical(state, ybar.norm)
-    else:
-        state.M = update_m_practical(state)
+    state.M = update_m(state, None if ybar is None else ybar.norm)
 
     state.y_bar = _fold_average_exact(k, ybar_k, y_new)
 
@@ -372,11 +361,14 @@ class _Proposed:
         return record
 
 
+@np.errstate(over="ignore")
 def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     """Run the step-object class ``method`` until ``params.termination``
     stops it, checking before each step, in order: a zero gradient at the
     next base point (``Stationary``), ``eps``, the call and iteration budgets
-    and the clock.  ``observer(method, record)`` sees every record."""
+    and the clock.  ``observer(method, record)`` sees every record.  An
+    overflowed gradient norm reads as +inf and never certifies, so overflow
+    warnings are silenced for the run."""
     pol = params.termination
     t0 = time.perf_counter()
     session = OracleSession(obj)
@@ -384,6 +376,7 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     try:
         m = method(session, as_point(x_init, obj.dim), params)
         best = m.best
+        calls, norms = array("q", [session.n_oracle]), array("d", [best.norm])
         while True:
             if m.base.norm == 0.0:
                 best.consider(m.base.x, 0.0)
@@ -402,6 +395,9 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
 
             record = m.step()
             trace.append(record)
+            if best.norm < norms[-1]:
+                calls.append(session.n_oracle)
+                norms.append(best.norm)
             if observer is not None:
                 observer(m, record)
             if record.event == "Terminated":
@@ -410,14 +406,17 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     except OracleError as exc:
         exc.partial_trace = trace  # type: ignore[attr-defined]
         raise
+    if best.norm < norms[-1]:  # a Stationary stop certifies a zero gradient
+        calls.append(session.n_oracle)
+        norms.append(best.norm)
 
     epochs, final_L, final_M = m.final
     return RunReport(
         solution=best.point, certified_grad_norm=best.norm,
         total_K=len(trace), total_epochs=epochs,
-        n_value=session.counter.n_value, n_grad=session.counter.n_grad,
+        n_value=session.n_value, n_grad=session.n_grad,
         reason=reason, final_L=final_L, final_M=final_M,
-        trace=trace, anchor_values=m.anchors,
+        trace=trace, anchor_values=m.anchors, certified=(calls, norms),
     )
 
 

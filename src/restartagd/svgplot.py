@@ -128,17 +128,14 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
         d0, d1 = math.ceil(ylim[0]), math.floor(ylim[1])
         stride = max(1, (d1 - d0) // 8) if d1 > d0 else 1
         decades = list(range(d0, d1 + 1, stride)) or [d0]
-        for d in decades:
-            py = panel.py(10.0 ** d)
-            out.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#444"/>')
-            out.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-                       f'class="tick">1e{d}</text>')
+        y_ticks = [(10.0 ** d, f"1e{d}") for d in decades]
     else:
-        for t in _linear_ticks(*ylim):
-            py = panel.py(t)
-            out.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#444"/>')
-            out.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-                       f'class="tick">{_fmt_num(t)}</text>')
+        y_ticks = [(t, _fmt_num(t)) for t in _linear_ticks(*ylim)]
+    for t, text in y_ticks:
+        py = panel.py(t)
+        out.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#444"/>')
+        out.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
+                   f'class="tick">{text}</text>')
 
     for label, pair, color in cleaned:
         if not pair:

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field
-from typing import IO, Iterable, List, Optional
+from typing import IO, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-EVENTS = ("Step", "RestartUnsuccessful", "RestartSuccessful", "Terminated")
 REASONS = ("EpsReached", "BudgetExhausted", "TimeLimit", "Stationary")
 
 TRACE_COLUMNS = (
@@ -61,6 +61,8 @@ class RunReport:
     final_M: float
     trace: List[TraceRecord] = field(default_factory=list)
     anchor_values: List[float] = field(default_factory=list)
+    # (calls, norms): each new best certified norm and the n_oracle it took.
+    certified: Tuple[array, array] = field(default_factory=lambda: (array("q"), array("d")))
 
     @property
     def n_oracle(self) -> int:

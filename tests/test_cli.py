@@ -4,6 +4,7 @@ import csv
 import filecmp
 import json
 import os
+import warnings
 
 import jsonschema
 import pytest
@@ -112,6 +113,45 @@ def test_run_oracle_failure_keeps_partial_trace(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_diverging_run_emits_no_runtime_warning(tmp_path, capsys):
+    # ll2022 with a step constant far below Rosenbrock's curvature overflows
+    # before the gradient turns non-finite; the overflow must stay silent.
+    out = str(tmp_path / "cell")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["run", "--problem", "rosenbrock", "--solver", "ll2022",
+                   "--l-init", "1e-3", "--out", out])
+    assert rc == 3
+    assert "Warning" not in capsys.readouterr().err
+    assert len(read_trace_csv(os.path.join(out, "trace.csv"))) > 0
+
+
+def test_whole_float_budgets_are_accepted(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("run:\n  problem: quadratic\n  eps: 0\n  max_iterations: 3.0\n"
+                   "  max_oracle_calls: 100000.0\n")
+    out = str(tmp_path / "cell")
+    assert main(["run", "--config", str(cfg), "--out", out]) == 0
+    doc = read_report(out)
+    assert doc["total_K"] == doc["params"]["max_iterations"] == 3
+    assert doc["params"]["max_oracle_calls"] == 100000
+
+
+def test_cli_defaults_match_library_defaults():
+    # The CLI's defaults are literal; they must stay the library's defaults.
+    d = cli.RUN_DEFAULTS
+    params, pol = solver.SolverParams(), solver.DEFAULT_TERMINATION
+    for key in ("l_init", "m0", "alpha", "beta", "m_variant"):
+        assert d[key] == getattr(params, key), key
+    for key in ("certify_mode", "eps", "max_oracle_calls", "max_iterations", "max_seconds"):
+        assert d[key] == getattr(pol, key), key
+    assert d["ll_eps"] == baselines.LL2022Params(l_f=1.0).eps
+    gd = baselines.GdParams()
+    for key in ("l_init", "alpha", "beta"):
+        assert d[key] == getattr(gd, key), key
+    assert gd.termination == pol
+
+
 # ---------------------------------------------------------------------------
 # grid
 
@@ -171,6 +211,43 @@ def test_grid_parallel_matches_serial(tmp_path):
     assert filecmp.cmp(os.path.join(serial, "proposed_L4_M1", "trace.csv"),
                        os.path.join(parallel, "proposed_L4_M1", "trace.csv"),
                        shallow=False)
+
+
+def _summary_rows(out):
+    with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_grid_calls_to_eps_is_where_the_run_certified(tmp_path):
+    # Under EveryIter only averaged points certify, so the cheaper monitor
+    # norms in the trace must not count toward calls_to_{thr}.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "grid:\n"
+        "  problem: quadratic\n"
+        "  solvers: [proposed]\n"
+        "  certify_mode: EveryIter\n"
+        "  l_init: [100]\n"
+        "  m0: [1.0]\n"
+        "  eps: 1e-6\n"
+        "  thresholds: [1e-6]\n"
+    )
+    out = str(tmp_path / "grid")
+    assert main(["grid", "--config", str(cfg), "--out", out]) == 0
+    [row] = _summary_rows(out)
+    assert row["reason"] == "EpsReached"
+    assert row["calls_to_1e-06"] == row["n_oracle"]
+
+
+def test_default_grid_certifies_eps_at_n_oracle(tmp_path):
+    out = str(tmp_path / "grid")
+    assert main(["grid", "--out", out]) == 0
+    rows = _summary_rows(out)
+    assert len(rows) == 12
+    reached = [row for row in rows if row["reason"] == "EpsReached"]
+    assert reached
+    for row in reached:
+        assert row["calls_to_1e-06"] == row["n_oracle"], row
 
 
 def test_grid_rejects_unknown_solver(tmp_path):
@@ -238,6 +315,10 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("run", "eps: [1]", 2),
     ("grid", "solvers: 5", 2),
     ("verify", "problems: 5", 2),
+    ("run", "problem: quadratic\n  dim: 0", 2),
+    ("run", "problem: matcomp_synthetic\n  rank: 0", 2),
+    ("run", "max_iterations: 1.5", 2),
+    ("run", "max_oracle_calls: 100.5", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"

@@ -6,7 +6,6 @@ import pytest
 from restartagd import (NonFiniteGradient, NonFiniteValue, Objective,
                         OracleError, OracleSession, as_point, fd_gradient,
                         make_problem)
-from restartagd.oracle import EvalCounter
 
 ALL_BUILTINS = ["rosenbrock", "quadratic", "cosine_sum", "matcomp_synthetic"]
 
@@ -70,17 +69,17 @@ def test_session_counts_and_memoizes():
     v1 = sess.value(x)
     v2 = sess.value(x)              # memo hit: same bytes, no new eval
     assert v1 == v2 == 1.0
-    assert sess.counter.n_value == 1
+    assert sess.n_value == 1
     g1 = sess.grad(x)
     g2 = sess.grad(x)
     assert g1 is g2
-    assert sess.counter.n_grad == 1
+    assert sess.n_grad == 1
     assert sess.n_oracle == 2
     # a different point evicts the single memo slot
     y = as_point([1.0, 1.0])
     sess.value(y)
     sess.value(x)
-    assert sess.counter.n_value == 3
+    assert sess.n_value == 3
 
 
 def test_session_memo_is_bitwise_not_approximate():
@@ -90,14 +89,7 @@ def test_session_memo_is_bitwise_not_approximate():
     x_close = np.nextafter(x, 1.0)  # one ulp away: different bytes
     sess.value(x)
     sess.value(x_close)
-    assert sess.counter.n_value == 2
-
-
-def test_counter_totals():
-    c = EvalCounter()
-    c.n_value += 3
-    c.n_grad += 2
-    assert c.n_oracle == 5
+    assert sess.n_value == 2
 
 
 def test_non_finite_value_raises_with_point():

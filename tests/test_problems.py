@@ -429,3 +429,12 @@ def test_make_problem_x_init_is_seeded():
 def test_make_problem_rosenbrock_default_start():
     spec = make_problem("rosenbrock")
     np.testing.assert_array_equal(spec.x_init, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("name, size", [
+    ("quadratic", {"dim": 0}), ("cosine_sum", {"dim": 0}),
+    ("matcomp_synthetic", {"rank": 0})])
+def test_make_problem_rejects_zero_sizes(name, size):
+    # A zero size is an error, not a request for the default size.
+    with pytest.raises(ValueError, match="must be >= 1"):
+        make_problem(name, **size)

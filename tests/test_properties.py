@@ -2,14 +2,15 @@
 run, not just on hand-built states.  Each test executes the solver (or a
 baseline) for a few thousand iterations and asserts the invariant row by row."""
 
+import dataclasses
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from restartagd import (GdParams, SolverParams, TerminationPolicy,
-                        gd_run, make_problem, run)
+from restartagd import (GdParams, LL2022Params, SolverParams,
+                        TerminationPolicy, gd_run, ll2022_run, make_problem, run)
 from restartagd.checks import THETA0, potential
 from reference import theta
 
@@ -244,3 +245,63 @@ def test_gd_trial_smoothness_stays_capped(problem_name, l_init):
                             max_iterations=2000)
     cap = max(l_init, 2.0 * prob.objective.known_L)
     assert all(rec.L <= cap for rec in report.trace)
+
+
+# ---------------------------------------------------------------------------
+# seeded sweep over problems, dimensions and solvers
+
+_SWEEP_SOLVERS = {
+    "practical": lambda obj, x0, pol: run(obj, x0, SolverParams(termination=pol)),
+    "theoretical": lambda obj, x0, pol: run(obj, x0, SolverParams(
+        m_variant="theoretical", termination=pol)),
+    "every_iter": lambda obj, x0, pol: run(obj, x0, SolverParams(
+        termination=dataclasses.replace(pol, certify_mode="EveryIter"))),
+    "gd": lambda obj, x0, pol: gd_run(obj, x0, GdParams(termination=pol)),
+    # A fixed step must exceed the curvature; matrix completion declares
+    # none, and 10 is safely above it at these sizes.
+    "ll2022": lambda obj, x0, pol: ll2022_run(obj, x0, LL2022Params(
+        l_f=2.0 * (obj.known_L or 5.0), termination=pol)),
+}
+_SWEEP_PROBLEMS = (
+    [(name, {"dim": dim, "seed": seed}) for name in ("quadratic", "cosine_sum")
+     for dim in (1, 3, 17) for seed in range(5)]
+    + [("matcomp_synthetic", {"rank": rank, "seed": seed})
+       for rank in (1, 2) for seed in range(3)])
+
+
+def test_seeded_sweep_certificates_anchors_and_accounting():
+    eps = 1e-6
+    pol = TerminationPolicy(eps=eps, max_iterations=150)
+    ends = defaultdict(int)
+    for name, kw in _SWEEP_PROBLEMS:
+        spec = make_problem(name, **kw)
+        obj = spec.objective
+        g0 = obj.grad_fn(spec.x_init)
+        for solver, solve in _SWEEP_SOLVERS.items():
+            case = f"{name} {kw} {solver}"
+            rep = solve(obj, spec.x_init, pol)
+            ends[rep.reason] += 1
+            # The certificate is a gradient evaluated at the returned point.
+            g = obj.grad_fn(rep.solution)
+            assert math.sqrt(float(g @ g)) == rep.certified_grad_norm, case
+            anchors = rep.anchor_values
+            assert all(b <= a for a, b in zip(anchors, anchors[1:])), case
+            # The certified path: from the start, strictly falling norms at
+            # nondecreasing call counts, ending at the reported norm.
+            calls, norms = rep.certified
+            assert calls[0] == (1 if solver == "ll2022" else 2), case
+            assert norms[0] == math.sqrt(float(g0 @ g0)), case
+            assert all(b < a for a, b in zip(norms, norms[1:])), case
+            assert all(b >= a for a, b in zip(calls, calls[1:])), case
+            assert norms[-1] == rep.certified_grad_norm, case
+            if rep.reason != "EpsReached":
+                continue
+            first = next(c for c, norm in zip(calls, norms) if norm <= eps)
+            assert first == rep.n_oracle, case
+            if solver == "practical":
+                ybar_rows = sum(r.grad_norm_ybar is not None for r in rep.trace)
+                assert rep.n_oracle == 2 + 4 * rep.total_K + ybar_rows, case
+            elif solver in ("theoretical", "every_iter"):
+                assert rep.n_oracle == 2 + 5 * rep.total_K, case
+    # The sweep exercises both certified stops and budget stops.
+    assert ends["EpsReached"] >= 30 and ends["BudgetExhausted"] >= 30, dict(ends)

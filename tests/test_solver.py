@@ -12,8 +12,7 @@ from restartagd import (GdParams, LL2022Params, NonFiniteGradient,
                         make_problem, quadratic, run)
 from restartagd.solver import (Evaluated, _fold_average_exact, agd_step,
                                descent_condition_holds, new_state,
-                               restart2_triggered, update_m_practical,
-                               update_m_theoretical)
+                               restart2_triggered, update_m)
 from reference import theta, update_average
 
 
@@ -147,7 +146,7 @@ def test_update_m_skips_zero_displacement():
     # Fresh state: x_prev == x_cur == y_cur, both ratios are 0/0 and must be
     # skipped, leaving M at its seed.
     st = _bare_state(k=1)
-    assert update_m_practical(st) == 1e-16
+    assert update_m(st) == 1e-16
 
 
 def test_update_m_theoretical_extra_ratio():
@@ -157,14 +156,14 @@ def test_update_m_theoretical_extra_ratio():
     st = _bare_state(k=2, s=1.0, L=1.0,
                      x_prev=np.zeros(2), x_cur=np.array([1.0, 0.0]),
                      y_cur=np.array([1.0, 0.0]))
-    got = update_m_theoretical(st, grad_ybar_norm=10.0)
+    got = update_m(st, grad_ybar_norm=10.0)
     assert got == 16.0 * 21.0 / 49.0
     # Too early (k < 2) or an empty epoch (S = 0): extra ratio is skipped.
     st.k = 1
-    assert update_m_theoretical(st, grad_ybar_norm=10.0) == 1e-16
+    assert update_m(st, grad_ybar_norm=10.0) == 1e-16
     st.k = 2
     st.s = 0.0
-    assert update_m_theoretical(st, grad_ybar_norm=10.0) == 1e-16
+    assert update_m(st, grad_ybar_norm=10.0) == 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +353,22 @@ def test_anchor_values_never_increase():
     vals = rep.anchor_values
     assert len(vals) >= 2
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_stationary_stop_ends_the_certified_path():
+    # Under EveryIter only averaged points certify during a step.  The first
+    # step lands on the minimizer and the progress test (large m0) makes it
+    # the anchor, so its zero gradient joins the path at the Stationary stop.
+    spec = make_problem("quadratic", dim=3)
+    pol = TerminationPolicy(max_iterations=50, certify_mode="EveryIter")
+    rep = run(spec.objective, spec.x_init,
+              SolverParams(l_init=1.0, m0=1e3, termination=pol))
+    assert rep.reason == "Stationary"
+    assert [r.event for r in rep.trace] == ["RestartSuccessful"]
+    assert rep.trace[-1].grad_norm_ybar > 0.0
+    calls, norms = rep.certified
+    assert list(calls) == [2, rep.n_oracle]
+    assert norms[-1] == rep.certified_grad_norm == 0.0
 
 
 CERTIFYING = {
