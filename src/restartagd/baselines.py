@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from .oracle import Objective, OracleSession, Vector
 from .solver import (DEFAULT_TERMINATION, Evaluated, TerminationPolicy,
                      _Certified, drive)
@@ -141,18 +139,17 @@ class _LL2022:
         self.K += 1
         x_new = self.base.x - (1.0 / p.l_f) * self.base.g
         dx = x_new - self.x_prev
-        s = self.s + float(dx @ dx)
+        s = self.s + float(dx.dot(dx))
         restart = k * p.m_f * s > p.eps
         y = x_new if restart else x_new + self.momentum * dx
         self.x_prev = x_new
         self.base = base = Evaluated(y, None, session.grad(y))
         self.best.consider(y, base.norm)
 
-        with np.errstate(all="ignore"):
-            try:
-                f_diag = float(session.obj.value_fn(x_new))
-            except (ArithmeticError, ValueError):
-                f_diag = float("nan")
+        try:
+            f_diag = float(session.obj.value_fn(x_new))
+        except (ArithmeticError, ValueError):
+            f_diag = float("nan")
         record = TraceRecord(
             K=self.K, epoch=self.epoch, k=k, n_oracle=session.n_oracle,
             f_x=f_diag, grad_norm_monitor=base.norm, grad_norm_ybar=None,

@@ -169,7 +169,7 @@ def _make_problem(s: dict, problem: Optional[str] = None) -> ProblemSpec:
     name = problem or s["problem"]
     try:
         return make_problem(
-            name, seed=int(s["seed"]), dim=s.get("dim"), lam=float(s.get("lam", 1.0)),
+            name, seed=_whole(s, "seed"), dim=s.get("dim"), lam=float(s.get("lam", 1.0)),
             rank=s.get("rank"), fraction=float(s.get("fraction", 0.3)),
             data_path=s.get("data_path"),
         )
@@ -186,12 +186,17 @@ def _names(value, key: str) -> list:
     return value
 
 
-def _budget(s: dict, key: str) -> Optional[int]:
-    """A budget setting as an int; a fractional number is a ConfigError."""
+def _whole(s: dict, key: str) -> int:
+    """A whole-number setting as an int; a fractional number is a ConfigError."""
     val = s[key]
     if isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"{key} must be a whole number, not {val!r}")
-    return None if val is None else int(val)
+    return int(val)
+
+
+def _budget(s: dict, key: str) -> Optional[int]:
+    """A budget setting: a whole number, or None for no budget."""
+    return None if s[key] is None else _whole(s, key)
 
 
 def _termination(s: dict) -> agd.TerminationPolicy:
@@ -219,7 +224,7 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
         entry, params, doc = setup(s, pol)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    doc.update(dataclasses.asdict(pol), seed=int(s["seed"]))
+    doc.update(dataclasses.asdict(pol), seed=_whole(s, "seed"))
 
     try:
         report = entry(spec.objective, spec.x_init, params)
@@ -363,11 +368,11 @@ def _box_constants(spec: ProblemSpec, half_width: float) -> Tuple[float, float]:
 def cmd_verify(args: argparse.Namespace) -> int:
     s = _settings(VERIFY_DEFAULTS, args, "verify")
     try:
-        samples = int(s["samples"])
+        samples = _whole(s, "samples")
         box = float(s["box"])
         l_scale = float(s["l_scale"])
         m_scale = float(s["m_scale"])
-        rng = np.random.default_rng(int(s["seed"]))
+        rng = np.random.default_rng(_whole(s, "seed"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad verify setting: {exc}")
     if samples < 1:

@@ -8,6 +8,7 @@ touch the counters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -81,6 +82,13 @@ class OracleSession:
     A session counts its own evaluations (``n_value``, ``n_grad``).  Each
     channel keeps a single-slot memo of the most recent query point, so asking
     twice in a row for the same bitwise-identical point costs one evaluation.
+
+    The session leaves NumPy's floating-point error state alone: every solver
+    runs inside :func:`~restartagd.solver.drive`, which silences NumPy's
+    warnings once for the whole run.  A session used directly outside
+    ``drive`` sees whatever error state its caller has set, so an objective
+    that overflows may warn (or raise, under ``np.errstate(all="raise")``)
+    there.  Non-finite results are rejected either way.
     """
 
     def __init__(self, obj: Objective):
@@ -96,10 +104,9 @@ class OracleSession:
         key = x.tobytes()
         if key == self._value_key:
             return self._value_cached
-        with np.errstate(all="ignore"):
-            v = float(self.obj.value_fn(x))
+        v = float(self.obj.value_fn(x))
         self.n_value += 1
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NonFiniteValue(x, v)
         lb = self.obj.lower_bound
         if lb is not None and v < lb - 1e-9 * (1.0 + abs(lb)):
@@ -114,12 +121,11 @@ class OracleSession:
         key = x.tobytes()
         if key == self._grad_key and self._grad_cached is not None:
             return self._grad_cached
-        with np.errstate(all="ignore"):
-            g = np.asarray(self.obj.grad_fn(x), dtype=np.float64)
+        g = np.asarray(self.obj.grad_fn(x), dtype=np.float64)
         self.n_grad += 1
         if g.shape != (self.obj.dim,):
             raise OracleError(f"gradient has shape {g.shape}, expected ({self.obj.dim},)")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradient(x)
         self._grad_key = key
         self._grad_cached = g

@@ -128,7 +128,7 @@ class Evaluated:
 
     def __init__(self, x: Vector, f: Optional[float], g: Vector):
         self.x, self.f, self.g = x, f, g
-        self.norm = math.sqrt(float(g @ g))
+        self.norm = math.sqrt(float(g.dot(g)))
 
 
 @dataclass
@@ -208,26 +208,26 @@ def update_m(state: EpochState, grad_ybar_norm: Optional[float] = None) -> float
     prev, cur, y = state.prev, state.cur, state.y
     k = state.k
     th = k / (k + 1.0)
-    xscale = 1.0 + math.sqrt(float(cur.x @ cur.x))
+    xscale = 1.0 + math.sqrt(float(cur.x.dot(cur.x)))
     d_yx = y.x - cur.x
-    hy2 = float(d_yx @ d_yx)
+    hy2 = float(d_yx.dot(d_yx))
     hy = math.sqrt(hy2)
     # Cubed subnormal displacements can underflow to an exact zero, so gate
     # on the actual denominators, not on the displacement alone.
     h3 = hy2 * hy
     if h3 > 0.0:
         gsum = y.g + cur.g
-        num1 = y.f - cur.f - 0.5 * float(gsum @ d_yx)
+        num1 = y.f - cur.f - 0.5 * float(gsum.dot(d_yx))
         noise1 = _EPS * (abs(y.f) + abs(cur.f)
-                         + 0.5 * math.sqrt(float(gsum @ gsum)) * hy)
+                         + 0.5 * math.sqrt(float(gsum.dot(gsum))) * hy)
         if num1 > _NOISE_GUARD * noise1:
             m = max(m, 12.0 * num1 / h3)
     dx = cur.x - prev.x
-    dx2 = float(dx @ dx)
+    dx2 = float(dx.dot(dx))
     den2 = th * dx2
     if den2 > 0.0:
         comb = y.g + th * prev.g - (1.0 + th) * cur.g
-        num2 = math.sqrt(float(comb @ comb))
+        num2 = math.sqrt(float(comb.dot(comb)))
         noise2 = _EPS * (y.norm + th * prev.norm + (1.0 + th) * cur.norm
                          + state.L * xscale)
         if num2 > _NOISE_GUARD * noise2:
@@ -281,7 +281,7 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
 
     x_new = state.y.x - (1.0 / step_L) * state.y.g
     dx = x_new - state.cur.x
-    dx2 = float(dx @ dx)
+    dx2 = float(dx.dot(dx))
     y_new = x_new + th * dx
 
     state.prev = state.cur
@@ -361,14 +361,19 @@ class _Proposed:
         return record
 
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     """Run the step-object class ``method`` until ``params.termination``
     stops it, checking before each step, in order: a zero gradient at the
     next base point (``Stationary``), ``eps``, the call and iteration budgets
-    and the clock.  ``observer(method, record)`` sees every record.  An
-    overflowed gradient norm reads as +inf and never certifies, so overflow
-    warnings are silenced for the run."""
+    and the clock.  ``observer(method, record)`` sees every record.
+
+    NumPy's floating-point warnings are silenced for the whole run, in one
+    context entered here rather than one per oracle call, which would cost
+    several times the evaluation of a cheap objective.  Nothing is lost by
+    that: the session turns a non-finite value or gradient into a typed
+    :class:`OracleError`, an overflowed gradient norm reads as +inf and never
+    certifies, and ``ll2022``'s uncounted diagnostic value may read NaN."""
     pol = params.termination
     t0 = time.perf_counter()
     session = OracleSession(obj)

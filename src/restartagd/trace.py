@@ -69,8 +69,11 @@ class RunReport:
         return self.n_value + self.n_grad
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
+# One trace row as ``csv.writer`` would write it: floats as ``repr`` and
+# ``\r\n`` line ends.  No field ever needs quoting, since numbers never hold
+# a comma, a quote or a line break and the event names are a fixed set
+# without them.
+_ROW = "%d,%d,%d,%d,%r,%r,%s,%r,%r,%r,%s\r\n"
 
 
 class TraceWriter:
@@ -78,17 +81,18 @@ class TraceWriter:
     crashed run still leaves complete epochs on disk."""
 
     def __init__(self, out: IO[str]):
-        self._writer = csv.writer(out)
         self._out = out
-        self._writer.writerow(TRACE_COLUMNS)
+        csv.writer(out).writerow(TRACE_COLUMNS)
         self._out.flush()
 
     def add(self, rec: TraceRecord) -> None:
-        self._writer.writerow([
+        ybar = rec.grad_norm_ybar
+        self._out.write(_ROW % (
             rec.K, rec.epoch, rec.k, rec.n_oracle,
-            _fmt(rec.f_x), _fmt(rec.grad_norm_monitor), _fmt(rec.grad_norm_ybar),
-            _fmt(rec.L), _fmt(rec.M), _fmt(rec.S_k), rec.event,
-        ])
+            float(rec.f_x), float(rec.grad_norm_monitor),
+            "" if ybar is None else repr(float(ybar)),
+            float(rec.L), float(rec.M), float(rec.S_k), rec.event,
+        ))
         if rec.event != "Step":
             self._out.flush()
 

@@ -129,12 +129,13 @@ def test_diverging_run_emits_no_runtime_warning(tmp_path, capsys):
 def test_whole_float_budgets_are_accepted(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("run:\n  problem: quadratic\n  eps: 0\n  max_iterations: 3.0\n"
-                   "  max_oracle_calls: 100000.0\n")
+                   "  max_oracle_calls: 100000.0\n  seed: 3.0\n")
     out = str(tmp_path / "cell")
     assert main(["run", "--config", str(cfg), "--out", out]) == 0
     doc = read_report(out)
     assert doc["total_K"] == doc["params"]["max_iterations"] == 3
     assert doc["params"]["max_oracle_calls"] == 100000
+    assert doc["params"]["seed"] == 3 and isinstance(doc["params"]["seed"], int)
 
 
 def test_cli_defaults_match_library_defaults():
@@ -319,6 +320,9 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("run", "problem: matcomp_synthetic\n  rank: 0", 2),
     ("run", "max_iterations: 1.5", 2),
     ("run", "max_oracle_calls: 100.5", 2),
+    ("run", "seed: 1.5", 2),
+    ("verify", "samples: 10.7", 2),
+    ("verify", "seed: 0.5", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"

@@ -3,11 +3,13 @@ termination, and exact oracle accounting on short runs."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from restartagd import (GdParams, LL2022Params, NonFiniteGradient,
+from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
+                        NonFiniteGradient, NonFiniteValue, Objective,
                         SolverParams, TerminationPolicy, gd_run, ll2022_run,
                         make_problem, quadratic, run)
 from restartagd.solver import (Evaluated, _fold_average_exact, agd_step,
@@ -453,6 +455,8 @@ DRIVEN = {
     "practical": lambda obj, x0, pol: run(obj, x0, SolverParams(l_init=3.0, termination=pol)),
     "theoretical": lambda obj, x0, pol: run(obj, x0, SolverParams(
         l_init=3.0, m_variant="theoretical", termination=pol)),
+    "everyiter": lambda obj, x0, pol: run(obj, x0, SolverParams(
+        l_init=3.0, termination=dataclasses.replace(pol, certify_mode=CERTIFY_EVERY_ITER))),
     "gd": lambda obj, x0, pol: gd_run(obj, x0, GdParams(l_init=3.0, termination=pol)),
     "ll2022": lambda obj, x0, pol: ll2022_run(obj, x0, LL2022Params(l_f=3.0, termination=pol)),
 }
@@ -479,3 +483,24 @@ def test_nan_gradient_keeps_clean_prefix_as_partial_trace(method, n_bad):
     else:
         assert 0 < len(partial) < len(clean.trace)
         assert partial == clean.trace[:len(partial)]
+
+
+def _runaway_value(x):
+    sq = x * x
+    return float(np.sum(sq - 1.5 * sq))
+
+
+@pytest.mark.parametrize("method", sorted(DRIVEN))
+def test_no_warning_escapes_a_run_that_overflows(method):
+    # f(x) = -||x||^2 / 2 is unbounded below, so every method runs outward
+    # until the squares overflow inside the objective and inf - inf turns its
+    # value NaN (ll2022's uncounted diagnostic value included).  The run must
+    # end in a typed error with no RuntimeWarning on the way.
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(_runaway_value(np.array([1e200, 0.0])))
+    obj = Objective(dim=2, value_fn=_runaway_value, grad_fn=lambda x: -x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises((NonFiniteValue, NonFiniteGradient)) as err:
+            DRIVEN[method](obj, np.array([1.0, -2.0]), TerminationPolicy(max_iterations=5000))
+    assert len(err.value.partial_trace) > 100

@@ -1,15 +1,18 @@
 """Trace CSV round trips and the JSON report schema."""
 
+import csv
+import io
 import json
 
 import jsonschema
 import numpy as np
 import pytest
 
-from restartagd import (REPORT_SCHEMA, SolverParams, TerminationPolicy,
-                        TraceRecord, make_problem, read_trace_csv,
-                        report_to_dict, run, write_report_json,
-                        write_trace_csv)
+from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, SolverParams,
+                        TerminationPolicy, TraceRecord, gd_run, ll2022_run,
+                        make_problem, read_trace_csv, report_to_dict, run,
+                        write_report_json, write_trace_csv)
+from restartagd.trace import TRACE_COLUMNS
 
 
 def sample_records():
@@ -48,6 +51,54 @@ def test_trace_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace_csv(str(path))
+
+
+EVENTS = {"Step", "RestartSuccessful", "RestartUnsuccessful", "Terminated"}
+
+
+def _edge_records():
+    """Rows from real runs with int-valued L and M and every event name, plus
+    made-up rows holding non-finite, subnormal and very large floats."""
+    cos, quad = make_problem("cosine_sum", dim=3), make_problem("quadratic", dim=3)
+    rosen = make_problem("rosenbrock")
+    pol = TerminationPolicy(eps=1e-6, max_iterations=300)
+    recs = list(run(cos.objective, cos.x_init, SolverParams(l_init=100, termination=pol)).trace)
+    recs += ll2022_run(quad.objective, quad.x_init,
+                       LL2022Params(l_f=100, m_f=1, termination=pol)).trace[:20]
+    recs += gd_run(rosen.objective, rosen.x_init, GdParams(l_init=1e-3, termination=pol)).trace[:20]
+    recs += run(rosen.objective, rosen.x_init, SolverParams(termination=pol)).trace[:20]
+    odd = (float("nan"), float("inf"), -float("inf"), 5e-324, 2.2250738585072014e-309,
+           -0.0, 1e16, 1.2345678901234567e17, 1.7976931348623157e308)
+    for i, v in enumerate(odd):
+        recs.append(TraceRecord(K=i, epoch=1, k=i, n_oracle=10 ** i, f_x=v,
+                                grad_norm_monitor=abs(v), grad_norm_ybar=None if i % 2 else v,
+                                L=v, M=abs(v), S_k=abs(v), event="Step"))
+    return recs
+
+
+def _reference_csv(records):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for r in records:
+        floats = (r.f_x, r.grad_norm_monitor, r.grad_norm_ybar, r.L, r.M, r.S_k)
+        writer.writerow([r.K, r.epoch, r.k, r.n_oracle]
+                        + ["" if v is None else repr(float(v)) for v in floats]
+                        + [r.event])
+    return buf.getvalue()
+
+
+def test_trace_rows_match_the_csv_module_byte_for_byte(tmp_path):
+    recs = _edge_records()
+    assert {r.event for r in recs} == EVENTS
+    assert any(type(r.L) is int for r in recs) and any(type(r.M) is int for r in recs)
+    assert any(r.grad_norm_ybar is None for r in recs)
+    for name in EVENTS:
+        assert not set(name) & set(',"\r\n'), name
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), recs)
+    assert path.read_bytes() == _reference_csv(recs).encode("utf-8")
+    assert "100.0" in path.read_text().splitlines()[1].split(",")
 
 
 def test_real_run_trace_round_trips(tmp_path):
