@@ -369,9 +369,9 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     and the clock.  ``observer(method, record)`` sees every record.
 
     NumPy's floating-point warnings are silenced for the whole run, in one
-    context entered here rather than one per oracle call, which would cost
-    several times the evaluation of a cheap objective.  Nothing is lost by
-    that: the session turns a non-finite value or gradient into a typed
+    context entered here: a context per oracle call costs more than a cheap
+    objective's own evaluation.  The warnings carry nothing the run needs:
+    the session turns a non-finite value or gradient into a typed
     :class:`OracleError`, an overflowed gradient norm reads as +inf and never
     certifies, and ``ll2022``'s uncounted diagnostic value may read NaN."""
     pol = params.termination

@@ -48,10 +48,6 @@ POLICIES = {
 }
 
 
-def _every_iter(pol: TerminationPolicy) -> TerminationPolicy:
-    return dataclasses.replace(pol, certify_mode=CERTIFY_EVERY_ITER)
-
-
 # The five solver configurations.  ll2022 takes l_init as its fixed L_f with
 # M_f = 1; from l_init = 1e-3 its iterates overflow and its gradient turns
 # non-finite on rosenbrock, quadratic and matcomp_synthetic.
@@ -60,7 +56,7 @@ SOLVERS = {
     "theoretical": lambda obj, x0, l, pol: run(obj, x0, SolverParams(
         l_init=l, m_variant="theoretical", termination=pol)),
     "everyiter": lambda obj, x0, l, pol: run(obj, x0, SolverParams(
-        l_init=l, termination=_every_iter(pol))),
+        l_init=l, termination=dataclasses.replace(pol, certify_mode=CERTIFY_EVERY_ITER))),
     "gd": lambda obj, x0, l, pol: gd_run(obj, x0, GdParams(l_init=l, termination=pol)),
     "ll2022": lambda obj, x0, l, pol: ll2022_run(obj, x0, LL2022Params(
         l_f=l, m_f=1, termination=pol)),
@@ -112,7 +108,7 @@ def cases():
 def _enc(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (str, int, np.integer)) and not isinstance(v, bool):
+    if isinstance(v, (str, int, np.integer)):
         return str(v)
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
