@@ -5,7 +5,9 @@ run produced: every :class:`RunReport` field (the trace rows, the anchors and
 the certified path included) or, when the run raises an
 :class:`OracleError`, the error's type and message and its partial trace.
 Integers hash as ``str``, floats as ``repr(float(x))``, so any drift in a
-single bit of any number moves the hash.
+single bit of any number moves the hash.  The ``cli/`` cases run
+``restartagd`` commands in a fresh temporary directory with relative output
+paths and hash their exit codes and the bytes of every file they write.
 
 ``tests/test_golden.py`` recomputes every hash and compares it with
 ``hashes.txt``.  Floating-point results depend on the Python, NumPy and SciPy
@@ -20,11 +22,14 @@ and name in CHANGES.md every case whose hash moved, and why.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import platform
 import sys
+import tempfile
 
 import numpy as np
 import scipy
@@ -32,6 +37,7 @@ import scipy
 from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params, OracleError,
                         RunReport, SolverParams, TerminationPolicy, gd_run,
                         ll2022_run, make_problem, run)
+from restartagd import cli
 
 HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.txt")
 
@@ -76,9 +82,60 @@ def _poisoned(obj, channel: str, after: int, bad: float):
     return dataclasses.replace(obj, **{channel: poisoned})
 
 
+# A small grid: one l_init, one m0, a call cap, two thresholds.
+GRID_CONFIG = """grid:
+  problem: rosenbrock
+  solvers: [proposed, gd]
+  l_init: [1000]
+  m0: [1]
+  max_oracle_calls: 5000
+  thresholds: [1.0e-2, 1.0e-4]
+"""
+
+# CLI invocations: each case is a list of argv lists run in order.
+CLI_CASES = {
+    "run-proposed": [["run", "--problem", "rosenbrock", "--solver", "proposed",
+                      "--l-init", "100", "--out", "out"]],
+    "run-gd": [["run", "--problem", "rosenbrock", "--solver", "gd",
+                "--l-init", "100", "--max-oracle-calls", "20000", "--out", "out"]],
+    "grid": [["grid", "--config", "grid.yaml", "--out", "out"]],
+    "plot": [["run", "--problem", "cosine_sum", "--solver", "proposed",
+              "--max-iterations", "60", "--eps", "0", "--out", "out"],
+             ["plot", "out/trace.csv", "--out", "fig/trace.svg", "--title", "golden"]],
+    # Overflows to a non-finite gradient: exit 3 with a partial trace.
+    "ll2022-overflow": [["run", "--problem", "rosenbrock", "--solver", "ll2022",
+                         "--l-init", "0.001", "--out", "out"]],
+}
+
+
+def _cli_outcome(commands) -> str:
+    """Run ``cli.main`` on each argv of ``commands`` inside a fresh temporary
+    directory and return the exit codes and every file written there (the
+    grid config aside), as text."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("grid.yaml", "w", encoding="utf-8") as fh:
+                fh.write(GRID_CONFIG)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes = [cli.main(argv) for argv in commands]
+            paths = sorted(os.path.relpath(os.path.join(root, name))
+                           for root, _, names in os.walk(".") for name in names)
+            parts = [f"exit {codes}"]
+            for path in paths:
+                if path != "grid.yaml":
+                    with open(path, "rb") as fh:
+                        parts.append(f"{path}\n{hashlib.sha256(fh.read()).hexdigest()}")
+        finally:
+            os.chdir(cwd)
+    return "\n".join(parts)
+
+
 def cases():
     """Yield ``(case_id, thunk)``; calling the thunk runs the case and returns
-    its report or the :class:`OracleError` it raised."""
+    its report, the :class:`OracleError` it raised, or a CLI case's text."""
     for problem in PROBLEMS:
         spec = make_problem(problem)
         for solver, solve in SOLVERS.items():
@@ -103,6 +160,8 @@ def cases():
             obj = _poisoned(spec.objective, channel, after, bad)
             yield (f"poison/{solver}/{channel}@{after}={bad!r}",
                    lambda s=solve, o=obj, x=spec.x_init, p=pol: s(o, x, 3.0, p))
+    for name, commands in CLI_CASES.items():
+        yield f"cli/{name}", lambda c=commands: _cli_outcome(c)
 
 
 def _enc(v) -> str:
@@ -118,9 +177,11 @@ def _enc(v) -> str:
 
 
 def digest(outcome) -> str:
-    """SHA-256 of a run's report, or of the error it raised and its partial
-    trace."""
-    if isinstance(outcome, RunReport):
+    """SHA-256 of a run's report, of the error it raised and its partial
+    trace, or of a CLI case's text."""
+    if isinstance(outcome, str):
+        text = outcome
+    elif isinstance(outcome, RunReport):
         text = _enc(outcome)
     else:
         text = "\n".join((type(outcome).__name__, str(outcome),
