@@ -71,11 +71,9 @@ class _Gd:
             self.rejected += 1
             self.L = p.alpha * trial_L
             event = "RestartUnsuccessful"
-        return TraceRecord(
-            K=self.accepted + self.rejected, epoch=self.rejected + 1, k=self.accepted,
-            n_oracle=session.n_oracle, f_x=base.f, grad_norm_monitor=base.norm,
-            grad_norm_ybar=None, L=trial_L, M=0.0, S_k=0.0, event=event,
-        )
+        return TraceRecord(self.accepted + self.rejected, self.rejected + 1, self.accepted,
+                           session.n_oracle, base.f, base.norm, None,
+                           trial_L, 0.0, 0.0, event)
 
 
 def gd_run(obj: Objective, x_init, params: GdParams) -> RunReport:
@@ -150,11 +148,9 @@ class _LL2022:
             f_diag = float(session.obj.value_fn(x_new))
         except (ArithmeticError, ValueError):
             f_diag = float("nan")
-        record = TraceRecord(
-            K=self.K, epoch=self.epoch, k=k, n_oracle=session.n_oracle,
-            f_x=f_diag, grad_norm_monitor=base.norm, grad_norm_ybar=None,
-            L=p.l_f, M=p.m_f, S_k=s, event="RestartSuccessful" if restart else "Step",
-        )
+        record = TraceRecord(self.K, self.epoch, k, session.n_oracle, f_diag, base.norm,
+                             None, p.l_f, p.m_f, s,
+                             "RestartSuccessful" if restart else "Step")
         if restart:
             k, s = 0, 0.0
             self.epoch += 1

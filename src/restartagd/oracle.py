@@ -89,6 +89,12 @@ class OracleSession:
     ``drive`` sees whatever error state its caller has set, so an objective
     that overflows may warn (or raise, under ``np.errstate(all="raise")``)
     there.  Non-finite results are rejected either way.
+
+    A gradient of the right shape is checked for non-finite entries with one
+    dot product against a zero vector built once per session: a finite entry
+    contributes exactly +-0 to the sum, while a NaN or +-inf entry makes its
+    product, and so the sum, NaN.  The shape is checked first, since a dot of
+    the wrong shape raises instead of reporting.
     """
 
     def __init__(self, obj: Objective):
@@ -99,6 +105,7 @@ class OracleSession:
         self._value_cached: float = 0.0
         self._grad_key: Optional[bytes] = None
         self._grad_cached: Optional[Vector] = None
+        self._zeros = np.zeros(obj.dim)
 
     def value(self, x: Vector) -> float:
         key = x.tobytes()
@@ -125,7 +132,7 @@ class OracleSession:
         self.n_grad += 1
         if g.shape != (self.obj.dim,):
             raise OracleError(f"gradient has shape {g.shape}, expected ({self.obj.dim},)")
-        if not np.isfinite(g).all():
+        if g.dot(self._zeros) != 0.0:
             raise NonFiniteGradient(x)
         self._grad_key = key
         self._grad_cached = g

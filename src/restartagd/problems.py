@@ -36,14 +36,19 @@ class DimensionError(Exception):
 def rosenbrock() -> Objective:
     """The classic banana function on R^2, f(x, y) = (x-1)^2 + 100(y-x^2)^2."""
 
+    # Python floats and NumPy float64 scalars are both IEEE binary64 with
+    # round-to-nearest, so scalar arithmetic on ``tolist()`` gives the same
+    # bits as indexing the array, at a fraction of the per-operation cost.
     def value(v: Vector) -> float:
-        a = v[0] - 1.0
-        b = v[1] - v[0] * v[0]
+        x, y = v.tolist()
+        a = x - 1.0
+        b = y - x * x
         return a * a + 100.0 * b * b
 
     def grad(v: Vector) -> Vector:
-        b = v[1] - v[0] * v[0]
-        return np.array([2.0 * (v[0] - 1.0) - 400.0 * v[0] * b, 200.0 * b])
+        x, y = v.tolist()
+        b = y - x * x
+        return np.array([2.0 * (x - 1.0) - 400.0 * x * b, 200.0 * b])
 
     return Objective(dim=2, value_fn=value, grad_fn=grad, lower_bound=0.0)
 

@@ -187,12 +187,14 @@ def restart2_triggered(state: EpochState) -> bool:
     return (k1 ** 5) * state.M * state.M * state.s > state.L * state.L
 
 
-def update_m(state: EpochState, grad_ybar_norm: Optional[float] = None) -> float:
+def update_m(state: EpochState, dx2: float,
+             grad_ybar_norm: Optional[float] = None) -> float:
     """Raise M to cover the measured third-order ratios at the newest iterate
     pair: the trapezoid gap between x_k and y_k, the momentum interpolation
     error against x_{k-1} and, when ``grad_ybar_norm`` (the theoretical
     variant) is given, a ratio at the averaged point, whose normalizer is
-    Z_k = (k+1)/2.
+    Z_k = (k+1)/2.  ``dx2`` is ||x_k - x_{k-1}||^2, which the caller has
+    already formed for its step.
 
     Zero-displacement ratios are skipped (0/0 reads as no information), and a
     ratio whose numerator is within floating-point noise of zero is skipped
@@ -203,12 +205,18 @@ def update_m(state: EpochState, grad_ybar_norm: Optional[float] = None) -> float
     The third ratio is skipped at k = 1 and whenever it is non-positive or
     inside its noise floor; its floor carries a Z^2*L*(1+||x||) term for the
     same reason.
+
+    Each noise floor (and ||x_k|| inside it) is evaluated only for a ratio
+    that exceeds the current M.  This is exact: ``max(m, r)`` returns ``m``
+    whenever ``r <= m`` or ``r`` is NaN, so such a ratio leaves M bitwise
+    unchanged whatever its guard says.  Each ratio is formed only once its
+    denominator is known to be positive.
     """
     m = state.M
     prev, cur, y = state.prev, state.cur, state.y
     k = state.k
     th = k / (k + 1.0)
-    xscale = 1.0 + math.sqrt(float(cur.x.dot(cur.x)))
+    xscale = None
     d_yx = y.x - cur.x
     hy2 = float(d_yx.dot(d_yx))
     hy = math.sqrt(hy2)
@@ -218,30 +226,37 @@ def update_m(state: EpochState, grad_ybar_norm: Optional[float] = None) -> float
     if h3 > 0.0:
         gsum = y.g + cur.g
         num1 = y.f - cur.f - 0.5 * float(gsum.dot(d_yx))
-        noise1 = _EPS * (abs(y.f) + abs(cur.f)
-                         + 0.5 * math.sqrt(float(gsum.dot(gsum))) * hy)
-        if num1 > _NOISE_GUARD * noise1:
-            m = max(m, 12.0 * num1 / h3)
-    dx = cur.x - prev.x
-    dx2 = float(dx.dot(dx))
+        r = 12.0 * num1 / h3
+        if r > m:
+            noise1 = _EPS * (abs(y.f) + abs(cur.f)
+                             + 0.5 * math.sqrt(float(gsum.dot(gsum))) * hy)
+            if num1 > _NOISE_GUARD * noise1:
+                m = r
     den2 = th * dx2
     if den2 > 0.0:
         comb = y.g + th * prev.g - (1.0 + th) * cur.g
         num2 = math.sqrt(float(comb.dot(comb)))
-        noise2 = _EPS * (y.norm + th * prev.norm + (1.0 + th) * cur.norm
-                         + state.L * xscale)
-        if num2 > _NOISE_GUARD * noise2:
-            m = max(m, num2 / den2)
+        r = num2 / den2
+        if r > m:
+            xscale = 1.0 + math.sqrt(float(cur.x.dot(cur.x)))
+            noise2 = _EPS * (y.norm + th * prev.norm + (1.0 + th) * cur.norm
+                             + state.L * xscale)
+            if num2 > _NOISE_GUARD * noise2:
+                m = r
     if grad_ybar_norm is None or k < 2 or state.s <= 0.0:
         return m
     z = (k + 1.0) / 2.0
     a = z * z * grad_ybar_norm
     b = z * state.L * math.sqrt(dx2)
     num3 = a - b
-    noise3 = _EPS * (a + b + z * z * state.L * xscale)
-    if num3 > _NOISE_GUARD * noise3:
-        den3 = (k - 1.0) * (k + 5.0) ** 2 * state.s
-        m = max(m, 16.0 * num3 / den3)
+    den3 = (k - 1.0) * (k + 5.0) ** 2 * state.s
+    r = 16.0 * num3 / den3
+    if r > m:
+        if xscale is None:
+            xscale = 1.0 + math.sqrt(float(cur.x.dot(cur.x)))
+        noise3 = _EPS * (a + b + z * z * state.L * xscale)
+        if num3 > _NOISE_GUARD * noise3:
+            m = r
     return m
 
 
@@ -294,14 +309,14 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     ybar: Optional[Evaluated] = None
     if params.m_variant == M_THEORETICAL:
         ybar = Evaluated(ybar_k, None, session.grad(ybar_k))
-    state.M = update_m(state, None if ybar is None else ybar.norm)
-
-    state.y_bar = _fold_average_exact(k, ybar_k, y_new)
+    state.M = update_m(state, dx2, None if ybar is None else ybar.norm)
 
     if descent_condition_holds(state):
         kind = "RestartSuccessful" if restart2_triggered(state) else "Step"
     else:
         kind = "RestartUnsuccessful"
+    if kind == "Step":  # a restart's new epoch starts its own average
+        state.y_bar = _fold_average_exact(k, ybar_k, y_new)
 
     if ybar is None and (pol.certify_mode == CERTIFY_EVERY_ITER or kind != "Step"
                          or (pol.eps is not None and monitor <= pol.eps)):
@@ -316,12 +331,9 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
         kind = "Terminated"
 
-    record = TraceRecord(
-        K=state.K, epoch=state.epoch, k=k, n_oracle=session.n_oracle,
-        f_x=cur.f, grad_norm_monitor=monitor,
-        grad_norm_ybar=None if ybar is None else ybar.norm,
-        L=step_L, M=state.M, S_k=state.s, event=kind,
-    )
+    record = TraceRecord(state.K, state.epoch, k, session.n_oracle, cur.f, monitor,
+                         None if ybar is None else ybar.norm,
+                         step_L, state.M, state.s, kind)
 
     # A failed descent test re-anchors at x_{k-1} and raises L; a met
     # progress test re-anchors at x_k and lowers L.  M survives both.

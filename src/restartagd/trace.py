@@ -109,22 +109,22 @@ def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
 
 
 def read_trace_csv(path: str) -> List[TraceRecord]:
-    records: List[TraceRecord] = []
+    """Read a trace CSV back into records.  A row that is not exactly
+    ``len(TRACE_COLUMNS)`` fields wide (the cut last line of a killed write,
+    say) or holds a malformed number raises ``ValueError`` naming its line."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header {header!r}")
-        for row in reader:
-            records.append(TraceRecord(
-                K=int(row[0]), epoch=int(row[1]), k=int(row[2]),
-                n_oracle=int(row[3]), f_x=float(row[4]),
-                grad_norm_monitor=float(row[5]),
-                grad_norm_ybar=None if row[6] == "" else float(row[6]),
-                L=float(row[7]), M=float(row[8]), S_k=float(row[9]),
-                event=row[10],
-            ))
-    return records
+        try:
+            return [TraceRecord(int(K), int(epoch), int(k), int(n_oracle), float(f_x),
+                                float(monitor), None if ybar == "" else float(ybar),
+                                float(L), float(M), float(S_k), event)
+                    for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event
+                    in reader]
+        except ValueError as exc:
+            raise ValueError(f"bad trace row at line {reader.line_num}: {exc}") from None
 
 
 REPORT_SCHEMA = {

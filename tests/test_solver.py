@@ -148,7 +148,7 @@ def test_update_m_skips_zero_displacement():
     # Fresh state: x_prev == x_cur == y_cur, both ratios are 0/0 and must be
     # skipped, leaving M at its seed.
     st = _bare_state(k=1)
-    assert update_m(st) == 1e-16
+    assert update_m(st, 0.0) == 1e-16
 
 
 def test_update_m_theoretical_extra_ratio():
@@ -158,14 +158,14 @@ def test_update_m_theoretical_extra_ratio():
     st = _bare_state(k=2, s=1.0, L=1.0,
                      x_prev=np.zeros(2), x_cur=np.array([1.0, 0.0]),
                      y_cur=np.array([1.0, 0.0]))
-    got = update_m(st, grad_ybar_norm=10.0)
+    got = update_m(st, 1.0, grad_ybar_norm=10.0)
     assert got == 16.0 * 21.0 / 49.0
     # Too early (k < 2) or an empty epoch (S = 0): extra ratio is skipped.
     st.k = 1
-    assert update_m(st, grad_ybar_norm=10.0) == 1e-16
+    assert update_m(st, 1.0, grad_ybar_norm=10.0) == 1e-16
     st.k = 2
     st.s = 0.0
-    assert update_m(st, grad_ybar_norm=10.0) == 1e-16
+    assert update_m(st, 1.0, grad_ybar_norm=10.0) == 1e-16
 
 
 # ---------------------------------------------------------------------------
