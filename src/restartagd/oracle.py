@@ -94,7 +94,9 @@ class OracleSession:
     dot product against a zero vector built once per session: a finite entry
     contributes exactly +-0 to the sum, while a NaN or +-inf entry makes its
     product, and so the sum, NaN.  The shape is checked first, since a dot of
-    the wrong shape raises instead of reporting.
+    the wrong shape raises instead of reporting.  Outside ``drive`` that dot
+    may warn about the invalid ``inf * 0``; where the caller's error state
+    turns this into an exception, it still ends as :class:`NonFiniteGradient`.
     """
 
     def __init__(self, obj: Objective):
@@ -132,7 +134,11 @@ class OracleSession:
         self.n_grad += 1
         if g.shape != (self.obj.dim,):
             raise OracleError(f"gradient has shape {g.shape}, expected ({self.obj.dim},)")
-        if g.dot(self._zeros) != 0.0:
+        try:
+            finite = g.dot(self._zeros) == 0.0
+        except (FloatingPointError, RuntimeWarning):  # the caller's error state
+            finite = False
+        if not finite:
             raise NonFiniteGradient(x)
         self._grad_key = key
         self._grad_cached = g

@@ -388,6 +388,26 @@ def test_plot_rejects_unreadable_trace(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("fields", [6, 12])
+def test_plot_rejects_a_trace_row_of_the_wrong_width(tmp_path, capsys, fields):
+    # A row cut short (the last line of a killed write) or one with an extra
+    # field is a bad input: exit 2 naming the line, not a traceback.
+    out = str(tmp_path / "run")
+    assert main(["run", "--problem", "quadratic", "--max-iterations", "3",
+                 "--out", out]) == 0
+    path = os.path.join(out, "trace.csv")
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    row = lines[-1].rstrip("\r\n").split(",")
+    lines[-1] = ",".join((row + ["x"])[:fields]) + ("\r\n" if fields > 11 else "")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["plot", path, "--out", str(tmp_path / "t.svg")]) == 2
+    assert f"line {len(lines)}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "t.svg")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -116,6 +116,47 @@ def test_gradient_shape_mismatch_is_an_oracle_error():
         sess.grad(as_point([0.0, 0.0]))
 
 
+def _grad_of(g):
+    """A session whose objective returns the gradient ``g`` everywhere."""
+    return OracleSession(Objective(dim=len(g), value_fn=lambda x: 0.0,
+                                   grad_fn=lambda x: g))
+
+
+# Finite entries at the edges of the range, each contributing +-0 to the
+# check's dot product.
+_EXTREMES = (1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["ignore", "raise"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 1000])
+def test_every_non_finite_entry_is_caught_at_every_width(d, mode):
+    # Under "raise" the check's own inf * 0 raises inside the dot product;
+    # the session must still report NonFiniteGradient.
+    base = np.resize(np.array(_EXTREMES), d)
+    at = range(d) if d <= 33 else (0, d // 2, d - 1)
+    with np.errstate(all=mode):
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in at:
+                g = base.copy()
+                g[i] = bad
+                with pytest.raises(NonFiniteGradient):
+                    _grad_of(g).grad(np.zeros(d))
+        for shift in range(len(_EXTREMES)):
+            g = np.roll(base, shift)
+            assert _grad_of(g).grad(np.zeros(d)) is g
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (1, 2), ()])
+def test_wrong_shape_gradient_reports_its_shape(shape):
+    # The shape check runs before the finite check's dot product, which
+    # would raise a bare ValueError on these shapes.
+    obj = Objective(dim=2, value_fn=lambda x: 0.0,
+                    grad_fn=lambda x: np.full(shape, np.nan))
+    with pytest.raises(OracleError, match="shape") as exc:
+        OracleSession(obj).grad(np.zeros(2))
+    assert type(exc.value) is OracleError
+
+
 def test_value_below_declared_lower_bound_is_an_oracle_error():
     obj = Objective(dim=1, value_fn=lambda x: -1.0, grad_fn=lambda x: x,
                     lower_bound=0.0)

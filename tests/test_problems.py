@@ -1,6 +1,7 @@
 """Built-in objectives: closed-form values, gradients, loaders, seeding."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from restartagd import (CERTIFY_EVERY_ITER, M_THEORETICAL, DimensionError,
                         matrix_completion, quadratic, rosenbrock, run,
                         synthetic_completion_instance)
 from restartagd.problems import DATA_ENV_VAR
+from reference import rosenbrock_grad, rosenbrock_value
 
 
 def test_rosenbrock_metadata():
@@ -21,6 +23,31 @@ def test_rosenbrock_metadata():
     assert obj.dim == 2
     assert obj.lower_bound == 0.0
     assert obj.known_L is None and obj.known_M is None
+
+
+@np.errstate(all="ignore")
+def test_rosenbrock_bitwise_equals_the_numpy_scalar_form():
+    # Python-float arithmetic must give the bits NumPy float64 scalars give,
+    # from subnormal to overflowing points and at non-finite ones.
+    rng = np.random.default_rng(3)
+    n = 4000
+    points = np.concatenate([
+        rng.uniform(-3.0, 3.0, (n, 2)),
+        np.ldexp(rng.uniform(-1.0, 1.0, (n, 2)), rng.integers(-1074, 1024, (n, 2))),
+        rng.uniform(-1.0, 1.0, (n, 2)) * [1e154, 1e308],  # x^2 and y - x^2 overflow
+        [[0.0, -0.0], [5e-324, -5e-324], [1.7976931348623157e308, -1.7976931348623157e308],
+         [np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.0], [-np.inf, np.inf]],
+    ])
+    obj = rosenbrock()
+    overflowed = 0
+    for v in points:
+        got, want = obj.value_fn(v), rosenbrock_value(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), v
+        g = obj.grad_fn(v)
+        assert g.dtype == np.float64 and g.tobytes() == rosenbrock_grad(v).tobytes(), v
+        overflowed += not math.isfinite(got)
+    assert overflowed > 1000
 
 
 def test_quadratic_values_and_constants():

@@ -15,7 +15,7 @@ from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
 from restartagd.solver import (Evaluated, _fold_average_exact, agd_step,
                                descent_condition_holds, new_state,
                                restart2_triggered, update_m)
-from reference import theta, update_average
+from reference import theta, update_average, update_m_eager
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,115 @@ def test_update_m_theoretical_extra_ratio():
     st.k = 2
     st.s = 0.0
     assert update_m(st, 1.0, grad_ybar_norm=10.0) == 1e-16
+
+
+# Magnitudes for the sweep: subnormal through near-overflow.
+_SCALES = (5e-324, 1e-310, 1e-160, 1e-8, 1.0, 1e8, 1e150, 1e300)
+
+
+def _sweep_state(rng):
+    """A random EpochState after an iteration's shift, with zero
+    displacements, subnormal and huge values mixed in, and its dx2 and
+    grad_ybar_norm."""
+    d = int(rng.choice((1, 2, 5)))
+
+    def vec():
+        return rng.standard_normal(d) * _SCALES[rng.integers(len(_SCALES))]
+
+    def point(x):
+        return Evaluated(x, float(vec()[0]), vec())
+
+    shape = rng.integers(4)
+    x_prev = vec()
+    x_cur = x_prev.copy() if shape == 0 else x_prev + vec()
+    y = x_cur.copy() if shape == 1 else x_cur + vec()
+    st = new_state(x_prev, 0.0, x_prev, l_init=float(rng.choice((1e-3, 1.0, 1e4, 1e300))),
+                   m0=float(rng.choice((1e-16, 1.0, 1e20))))
+    st.prev, st.cur, st.y = point(x_prev), point(x_cur), point(y)
+    st.k = int(rng.choice((1, 2, 50)))
+    st.s = float(rng.choice((0.0, 5e-324, 1.0, 1e300))) * rng.uniform(0.5, 2.0)
+    dx = x_cur - x_prev
+    gyn = None if rng.integers(3) == 0 else abs(float(vec()[0]))
+    return st, float(dx.dot(dx)), gyn
+
+
+@np.errstate(all="ignore")
+def test_update_m_bitwise_equals_the_eager_form():
+    # Lazy noise floors and the caller's dx2 must leave M bitwise unchanged,
+    # including when a ratio equals M exactly (M set to the eager result
+    # from M = 0, and one ulp either side).
+    rng = np.random.default_rng(20240611)
+    raised = kept = 0
+    for _ in range(3000):
+        st, dx2, gyn = _sweep_state(rng)
+        st.M = 0.0
+        top = update_m_eager(st, gyn)
+        for m in (1e-16, 0.0, top, math.nextafter(top, math.inf), math.nextafter(top, 0.0)):
+            st.M = m
+            want = update_m_eager(st, gyn)
+            got = update_m(st, dx2, gyn)
+            assert repr(got) == repr(want), (m, st, dx2, gyn)
+            raised += got != m
+            kept += got == m
+    assert raised > 1000 and kept > 1000
+
+
+def _guard_state(xs, fs, gs, k, s, L):
+    """An EpochState with x_{k-1}, x_k, y_k at ``xs``, their values ``fs`` and
+    gradients ``gs``, M = 1e-16, and its dx2."""
+    st = new_state(xs[0], 0.0, gs[0], l_init=L, m0=1e-16)
+    st.prev, st.cur, st.y = (Evaluated(x, f, g) for x, f, g in zip(xs, fs, gs))
+    st.k, st.s = k, s
+    dx = xs[1] - xs[0]
+    return st, float(dx.dot(dx))
+
+
+def _flip(raises, lo, hi):
+    """The floats next to where ``raises(t)`` changes between ``lo`` and
+    ``hi`` (bisection on the bit patterns), or [] if it does not change."""
+    a, b = (int(np.float64(t).view(np.int64)) for t in (lo, hi))
+    at_lo = raises(lo)
+    if raises(hi) == at_lo:
+        return []
+    while b - a > 1:
+        mid = (a + b) // 2
+        if raises(float(np.int64(mid).view(np.float64))) == at_lo:
+            a = mid
+        else:
+            b = mid
+    return [float(np.int64(i).view(np.float64)) for i in (a - 1, a, b, b + 1)]
+
+
+@np.errstate(all="ignore")
+def test_update_m_matches_the_eager_form_at_each_noise_guard():
+    # One ratio at a time, a parameter is bisected to where its noise guard
+    # starts or stops passing, and both forms are compared there.  Ratio 1
+    # varies the gradient sum across the y - x displacement and ratio 2
+    # varies L: either moves only the noise floor, to the ulp.
+    rng = np.random.default_rng(5)
+    zero = np.zeros(2)
+    flips = 0
+    for _ in range(20):
+        x = rng.standard_normal(2)
+        h, f, gyn = rng.uniform(0.5, 2.0, 3)
+        k = int(rng.choice((2, 50)))
+        g3 = [rng.standard_normal(2) for _ in range(3)]
+        builds = (
+            (lambda v: _guard_state((x, x, x + [h, 0.0]), (0.0, 0.0, f),
+                                    (zero, zero, np.array([0.0, v])), k, 1.0, 1.0), None),
+            (lambda L: _guard_state((x, x + [h, h], x + [h, h]), (0.0, 0.0, 0.0),
+                                    g3, k, 1.0, L), None),
+            (lambda L: _guard_state((x, x + [h, 0.0], x + [h, 0.0]), (0.0, 0.0, 0.0),
+                                    (zero, zero, zero), k, f, L), gyn),
+        )
+        for build, norm in builds:
+            points = _flip(lambda t: update_m_eager(build(t)[0], norm) != 1e-16,
+                           1e-300, 1e300)
+            flips += bool(points)
+            for t in points:
+                st, dx2 = build(t)
+                assert repr(update_m(st, dx2, norm)) == repr(update_m_eager(st, norm))
+    assert flips >= 50
 
 
 # ---------------------------------------------------------------------------

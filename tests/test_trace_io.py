@@ -53,6 +53,24 @@ def test_trace_csv_rejects_foreign_header(tmp_path):
         read_trace_csv(str(path))
 
 
+# A valid fourth row cut short, as a killed write leaves it, and the same row
+# with a field too many.
+BAD_ROWS = {
+    "short": "4,2,1,20,0.5,0.25",
+    "long": "4,2,1,20,0.5,0.25,,0.001,0.5,1.0,Step,extra\r\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_trace_row_of_the_wrong_width_names_its_line(tmp_path, kind):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), sample_records())
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(BAD_ROWS[kind])
+    with pytest.raises(ValueError, match="line 5"):
+        read_trace_csv(str(path))
+
+
 EVENTS = {"Step", "RestartSuccessful", "RestartUnsuccessful", "Terminated"}
 
 
