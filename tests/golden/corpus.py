@@ -35,9 +35,8 @@ import numpy as np
 import scipy
 
 from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params, OracleError,
-                        RunReport, SolverParams, TerminationPolicy, gd_run,
+                        RunReport, SolverParams, TerminationPolicy, cli, gd_run,
                         ll2022_run, make_problem, run)
-from restartagd import cli
 
 HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.txt")
 
