@@ -8,7 +8,7 @@ so a failing report carries the witness points that broke the inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -121,6 +121,17 @@ def estimate_M_bruteforce(obj: Objective, region: Tuple[Vector, Vector],
     if np.any(hi <= lo):
         raise ValueError("region upper bounds must exceed lower bounds")
     rng = np.random.default_rng(seed)
+    # Both checks need the gradients at x and y.  They are evaluated once per
+    # sample into ``memo`` (keyed on the point's bytes) and served from there,
+    # so a sample costs three gradients (x, y and their midpoint), not five.
+    grad_fn = obj.grad_fn
+    memo = {}
+
+    def grad(v: Vector) -> Vector:
+        g = memo.get(v.tobytes())
+        return grad_fn(v) if g is None else g
+
+    shared = replace(obj, grad_fn=grad)
     estimate = 0.0
     for _ in range(samples):
         x = rng.uniform(lo, hi)
@@ -129,9 +140,10 @@ def estimate_M_bruteforce(obj: Objective, region: Tuple[Vector, Vector],
         h2 = float(d @ d)
         if h2 == 0.0:
             continue
-        gap = check_trapezoid(obj, x, y, 0.0).lhs
+        memo = {x.tobytes(): grad_fn(x), y.tobytes(): grad_fn(y)}
+        gap = check_trapezoid(shared, x, y, 0.0).lhs
         estimate = max(estimate, 12.0 * abs(gap) / (h2 * math.sqrt(h2)))
-        err = check_jensen_gradient(obj, (x, y), (0.5, 0.5), 0.0).lhs
+        err = check_jensen_gradient(shared, (x, y), (0.5, 0.5), 0.0).lhs
         estimate = max(estimate, 8.0 * err / h2)
     return estimate
 

@@ -14,11 +14,9 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import yaml
 
 from . import baselines, checks
 from . import solver as agd
@@ -126,6 +124,8 @@ VERIFY_DEFAULTS = {
 def _load_config(path: Optional[str], section: str) -> dict:
     if path is None:
         return {}
+    import yaml  # only a run given --config pays for loading the parser
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -313,6 +313,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 })
 
     if args.parallel and args.parallel > 1:
+        # Loaded only here: it pulls in ``multiprocessing``, which a serial
+        # grid never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             rows = list(pool.map(_grid_worker, payloads))
     else:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .oracle import Objective, Vector, as_point
 
@@ -161,6 +160,10 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
         zero = np.zeros(dim)
         return Objective(dim=dim, value_fn=lambda v: 0.0,
                          grad_fn=lambda v: zero.copy(), lower_bound=0.0)
+
+    # Imported here, not at module level: SciPy is the costliest import in
+    # the package and only the completion problems use it.
+    from scipy import sparse
 
     # Fixed sparsity structure, reused for every gradient: slot j of the CSR
     # data array holds observation perm[j], and slot j of the transpose's

@@ -16,6 +16,9 @@ import numpy as np
 
 REASONS = ("EpsReached", "BudgetExhausted", "TimeLimit", "Stationary")
 
+# The values of the trace's ``event`` column.
+EVENTS = frozenset(("Step", "RestartSuccessful", "RestartUnsuccessful", "Terminated"))
+
 TRACE_COLUMNS = (
     "K", "epoch", "k", "n_oracle", "f_x", "grad_norm_monitor",
     "grad_norm_ybar", "L", "M", "S_k", "event",
@@ -71,7 +74,7 @@ class RunReport:
 
 # One trace row as ``csv.writer`` would write it: floats as ``repr`` and
 # ``\r\n`` line ends.  No field ever needs quoting, since numbers never hold
-# a comma, a quote or a line break and the event names are a fixed set
+# a comma, a quote or a line break and the names in ``EVENTS`` are a fixed set
 # without them.
 _ROW = "%d,%d,%d,%d,%r,%r,%s,%r,%r,%r,%s\r\n"
 
@@ -108,10 +111,15 @@ def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
         w.close()
 
 
+def _unknown_event(event: str):
+    raise ValueError(f"unknown event {event!r}")
+
+
 def read_trace_csv(path: str) -> List[TraceRecord]:
     """Read a trace CSV back into records.  A row that is not exactly
     ``len(TRACE_COLUMNS)`` fields wide (the cut last line of a killed write,
-    say) or holds a malformed number raises ``ValueError`` naming its line."""
+    say), holds a malformed number or an event not in ``EVENTS`` raises
+    ``ValueError`` naming its line."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -120,7 +128,8 @@ def read_trace_csv(path: str) -> List[TraceRecord]:
         try:
             return [TraceRecord(int(K), int(epoch), int(k), int(n_oracle), float(f_x),
                                 float(monitor), None if ybar == "" else float(ybar),
-                                float(L), float(M), float(S_k), event)
+                                float(L), float(M), float(S_k),
+                                event if event in EVENTS else _unknown_event(event))
                     for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event
                     in reader]
         except ValueError as exc:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from restartagd.checks import check_jensen_gradient, check_trapezoid
 from restartagd.solver import _EPS, _NOISE_GUARD
 
 
@@ -75,3 +76,28 @@ def rosenbrock_grad(v):
     """Rosenbrock's gradient on NumPy float64 scalars (array indexing)."""
     b = v[1] - v[0] * v[0]
     return np.array([2.0 * (v[0] - 1.0) - 400.0 * v[0] * b, 200.0 * b])
+
+
+def estimate_M_bruteforce_unshared(obj, region, samples: int, seed: int = 0) -> float:
+    """``checks.estimate_M_bruteforce`` as first written: each check evaluates
+    its own gradients, so every sample costs five of them."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    lo = np.broadcast_to(np.asarray(region[0], dtype=np.float64), (obj.dim,))
+    hi = np.broadcast_to(np.asarray(region[1], dtype=np.float64), (obj.dim,))
+    if np.any(hi <= lo):
+        raise ValueError("region upper bounds must exceed lower bounds")
+    rng = np.random.default_rng(seed)
+    estimate = 0.0
+    for _ in range(samples):
+        x = rng.uniform(lo, hi)
+        y = rng.uniform(lo, hi)
+        d = x - y
+        h2 = float(d @ d)
+        if h2 == 0.0:
+            continue
+        gap = check_trapezoid(obj, x, y, 0.0).lhs
+        estimate = max(estimate, 12.0 * abs(gap) / (h2 * math.sqrt(h2)))
+        err = check_jensen_gradient(obj, (x, y), (0.5, 0.5), 0.0).lhs
+        estimate = max(estimate, 8.0 * err / h2)
+    return estimate

@@ -6,8 +6,10 @@ import pytest
 
 from restartagd import (Objective, WeightError, check_descent_lemma,
                         check_jensen_gradient, check_trapezoid, cosine_sum,
-                        estimate_M_bruteforce, potential, quadratic)
+                        estimate_M_bruteforce, potential, quadratic, rosenbrock)
 from restartagd.checks import THETA0
+
+from reference import estimate_M_bruteforce_unshared
 
 
 def cube_1d() -> Objective:
@@ -144,6 +146,24 @@ def test_estimate_m_brackets_cosine_constant():
     est = estimate_M_bruteforce(obj, (np.full(2, -10.0), np.full(2, 10.0)),
                                 samples=2000, seed=3)
     assert 0.5 < est <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("make, box", [
+    (lambda: cosine_sum(3), 10.0), (rosenbrock, 2.0), (cube_1d, 2.0)],
+    ids=["cosine_sum", "rosenbrock", "cube_1d"])
+def test_estimate_m_takes_three_gradients_per_sample(make, box):
+    obj = make()
+    calls = []
+
+    def grad(v):
+        calls.append(1)
+        return obj.grad_fn(v)
+
+    counted = Objective(dim=obj.dim, value_fn=obj.value_fn, grad_fn=grad)
+    region = (np.full(obj.dim, -box), np.full(obj.dim, box))
+    est = estimate_M_bruteforce(counted, region, samples=2000, seed=11)
+    assert len(calls) == 3 * 2000
+    assert est == estimate_M_bruteforce_unshared(obj, region, samples=2000, seed=11)
 
 
 def test_estimate_m_validates_inputs():

@@ -408,6 +408,22 @@ def test_plot_rejects_a_trace_row_of_the_wrong_width(tmp_path, capsys, fields):
     assert not os.path.exists(tmp_path / "t.svg")
 
 
+def test_plot_rejects_a_trace_row_with_an_unknown_event(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["run", "--problem", "quadratic", "--max-iterations", "3",
+                 "--out", out]) == 0
+    path = os.path.join(out, "trace.csv")
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",St\0ep\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["plot", path, "--out", str(tmp_path / "t.svg")]) == 2
+    assert "line 3: unknown event 'St\\x00ep'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "t.svg")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

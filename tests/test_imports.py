@@ -1,16 +1,21 @@
-"""Every imported name in the package and its tests is used.
+"""The package's imports: every imported name is used, and the costly
+dependencies load only on the paths that need them.
 
-Parses each module with ``ast`` and lists the names an ``import`` binds that
-the module never loads.  ``__init__.py`` is skipped: its imports are the
-package's re-exports."""
+The first half parses each module with ``ast`` and lists the names an
+``import`` binds that the module never loads.  ``__init__.py`` is skipped:
+its imports are the package's re-exports."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-PACKAGE = os.path.join(os.path.dirname(HERE), "src", "restartagd")
+SRC = os.path.join(os.path.dirname(HERE), "src")
+PACKAGE = os.path.join(SRC, "restartagd")
 
 
 def _modules():
@@ -49,3 +54,48 @@ def test_no_unused_imports(path):
     with open(path, "r", encoding="utf-8") as fh:
         found = unused_imports(fh.read())
     assert found == [], f"{path}: unused imports {found}"
+
+
+# Run in a fresh interpreter: this test process has long since imported SciPy
+# and PyYAML through other test modules.
+LAZY_IMPORTS = r"""
+import json, sys
+import numpy as np
+import restartagd
+from restartagd import cli, make_problem
+
+HEAVY = ("scipy.sparse", "yaml", "concurrent.futures")
+
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+
+for name in ("rosenbrock", "quadratic", "cosine_sum"):
+    make_problem(name)
+codes = [cli.main(["run", "--max-iterations", "20", "--out", "run"]),
+         cli.main(["plot", "run/trace.csv", "--out", "run/trace.svg"]),
+         cli.main(["verify", "--samples", "20"])]
+plain = loaded()
+with open("config.yaml", "w") as fh:
+    fh.write("run: {max_iterations: 5}\n")
+codes.append(cli.main(["run", "--config", "config.yaml", "--out", "config"]))
+configured = loaded()
+spec = make_problem("matcomp_synthetic")
+finite = bool(np.isfinite(spec.objective.grad_fn(spec.x_init)).all())
+print(json.dumps({"codes": codes, "plain": plain, "configured": configured,
+                  "completion": loaded(), "finite": finite}))
+"""
+
+
+def test_heavy_dependencies_load_only_where_used(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["plain"] == []
+    assert seen["configured"] == ["yaml"]
+    assert "scipy.sparse" in seen["completion"]  # SciPy itself loads concurrent.futures
+    assert seen["finite"]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -12,7 +13,7 @@ from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, SolverParams,
                         TerminationPolicy, TraceRecord, gd_run, ll2022_run,
                         make_problem, read_trace_csv, report_to_dict, run,
                         write_report_json, write_trace_csv)
-from restartagd.trace import TRACE_COLUMNS
+from restartagd.trace import EVENTS, TRACE_COLUMNS
 
 
 def sample_records():
@@ -71,7 +72,14 @@ def test_trace_row_of_the_wrong_width_names_its_line(tmp_path, kind):
         read_trace_csv(str(path))
 
 
-EVENTS = {"Step", "RestartSuccessful", "RestartUnsuccessful", "Terminated"}
+@pytest.mark.parametrize("event", ["St\0ep", "step", "Step ", ""])
+def test_trace_row_with_an_unknown_event_names_its_line(tmp_path, event):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), sample_records())
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(f"4,2,1,20,0.5,0.25,,0.001,0.5,1.0,{event}\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"line 5: unknown event {event!r}")):
+        read_trace_csv(str(path))
 
 
 def _edge_records():
@@ -108,6 +116,7 @@ def _reference_csv(records):
 
 def test_trace_rows_match_the_csv_module_byte_for_byte(tmp_path):
     recs = _edge_records()
+    # The solvers' runs above emit every name in ``trace.EVENTS`` and no other.
     assert {r.event for r in recs} == EVENTS
     assert any(type(r.L) is int for r in recs) and any(type(r.M) is int for r in recs)
     assert any(r.grad_norm_ybar is None for r in recs)
