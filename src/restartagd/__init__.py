@@ -11,8 +11,9 @@ from .baselines import GdParams, LL2022Params, ParamError, gd_run, ll2022_run
 from .checks import (InequalityReport, WeightError, check_descent_lemma,
                      check_jensen_gradient, check_trapezoid,
                      estimate_M_bruteforce, potential)
-from .oracle import (NonFiniteGradient, NonFiniteValue, Objective, OracleError,
-                     OracleSession, as_point, fd_gradient)
+from .oracle import (NonFiniteGradient, NonFiniteValue, Objective,
+                     ObjectiveRaised, OracleError, OracleSession, as_point,
+                     fd_gradient)
 from .problems import (DATA_ENV_VAR, PROBLEM_NAMES, DimensionError,
                        MatrixCompletionInstance, ParseError, ProblemSpec,
                        completion_init, cosine_sum, load_movielens_100k,
@@ -20,8 +21,9 @@ from .problems import (DATA_ENV_VAR, PROBLEM_NAMES, DimensionError,
                        synthetic_completion_instance)
 from .solver import (CERTIFY_EVERY_ITER, CERTIFY_ON_CANDIDATE, M_PRACTICAL,
                      M_THEORETICAL, SolverParams, TerminationPolicy, run)
-from .trace import (REPORT_SCHEMA, RunReport, TraceRecord, read_trace_csv,
-                    report_to_dict, write_report_json, write_trace_csv)
+from .trace import (REPORT_SCHEMA, RunReport, Trace, TraceRecord,
+                    read_trace_csv, report_to_dict, write_report_json,
+                    write_trace_csv)
 
 __version__ = "0.1.0"
 
@@ -30,9 +32,9 @@ __all__ = [
     "DimensionError", "GdParams", "InequalityReport",
     "LL2022Params", "M_PRACTICAL", "M_THEORETICAL",
     "MatrixCompletionInstance", "NonFiniteGradient", "NonFiniteValue",
-    "Objective", "OracleError", "OracleSession", "PROBLEM_NAMES",
+    "Objective", "ObjectiveRaised", "OracleError", "OracleSession", "PROBLEM_NAMES",
     "ParamError", "ParseError", "ProblemSpec", "REPORT_SCHEMA", "RunReport",
-    "SolverParams", "TerminationPolicy", "TraceRecord", "WeightError",
+    "SolverParams", "TerminationPolicy", "Trace", "TraceRecord", "WeightError",
     "as_point", "check_descent_lemma", "check_jensen_gradient",
     "check_trapezoid", "completion_init", "cosine_sum",
     "estimate_M_bruteforce", "fd_gradient", "gd_run", "ll2022_run",

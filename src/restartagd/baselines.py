@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .oracle import Objective, OracleSession, Vector
+from .oracle import Objective, ObjectiveRaised, OracleSession, Vector
 from .solver import (DEFAULT_TERMINATION, Evaluated, TerminationPolicy,
                      _Certified, drive)
 from .trace import RunReport, TraceRecord
@@ -45,7 +45,7 @@ class _Gd:
 
     def __init__(self, session: OracleSession, x0: Vector, params: GdParams):
         self.session, self.params = session, params
-        self.base = Evaluated(x0, session.value(x0), session.grad(x0))
+        self.base = Evaluated(x0, session.value(x0), session.grad(x0), session.grad_norm)
         self.best = _Certified(x0, self.base.norm)
         self.anchors = [self.base.f]
         self.L = params.l_init
@@ -61,7 +61,8 @@ class _Gd:
         x_trial = base.x - (1.0 / trial_L) * base.g
         f_trial = session.value(x_trial)
         if f_trial <= base.f - base.norm * base.norm / (2.0 * trial_L):
-            self.base = base = Evaluated(x_trial, f_trial, session.grad(x_trial))
+            self.base = base = Evaluated(x_trial, f_trial, session.grad(x_trial),
+                                         session.grad_norm)
             self.best.consider(x_trial, base.norm)
             self.anchors.append(f_trial)
             self.accepted += 1
@@ -120,7 +121,7 @@ class _LL2022:
         self.session, self.params = session, params
         self.momentum = params.momentum
         self.x_prev = x0
-        self.base = Evaluated(x0, None, session.grad(x0))
+        self.base = Evaluated(x0, None, session.grad(x0), session.grad_norm)
         self.best = _Certified(x0, self.base.norm)
         self.anchors: List[float] = []
         self.s = 0.0
@@ -141,13 +142,15 @@ class _LL2022:
         restart = k * p.m_f * s > p.eps
         y = x_new if restart else x_new + self.momentum * dx
         self.x_prev = x_new
-        self.base = base = Evaluated(y, None, session.grad(y))
+        self.base = base = Evaluated(y, None, session.grad(y), session.grad_norm)
         self.best.consider(y, base.norm)
 
         try:
             f_diag = float(session.obj.value_fn(x_new))
         except (ArithmeticError, ValueError):
             f_diag = float("nan")
+        except Exception as exc:
+            raise ObjectiveRaised("value_fn", exc) from exc
         record = TraceRecord(self.K, self.epoch, k, session.n_oracle, f_diag, base.norm,
                              None, p.l_f, p.m_f, s,
                              "RestartSuccessful" if restart else "Step")

@@ -38,6 +38,20 @@ class NonFiniteGradient(OracleError):
         super().__init__("gradient has non-finite entries")
 
 
+class ObjectiveRaised(OracleError):
+    """The objective's ``channel`` (``"value_fn"`` or ``"grad_fn"``) raised;
+    the exception it raised is this error's ``__cause__``."""
+
+    def __init__(self, channel: str, exc: Exception):
+        self.channel = channel
+        super().__init__(f"{channel} raised {type(exc).__name__}: {exc}")
+
+
+def l2_norm(g: Vector) -> float:
+    """||g||, the one expression of a gradient norm in this package."""
+    return math.sqrt(float(g.dot(g)))
+
+
 def as_point(values, dim: Optional[int] = None) -> Vector:
     """Validate and return a point as a float64 vector.
 
@@ -90,13 +104,20 @@ class OracleSession:
     that overflows may warn (or raise, under ``np.errstate(all="raise")``)
     there.  Non-finite results are rejected either way.
 
-    A gradient of the right shape is checked for non-finite entries with one
-    dot product against a zero vector built once per session: a finite entry
-    contributes exactly +-0 to the sum, while a NaN or +-inf entry makes its
-    product, and so the sum, NaN.  The shape is checked first, since a dot of
-    the wrong shape raises instead of reporting.  Outside ``drive`` that dot
-    may warn about the invalid ``inf * 0``; where the caller's error state
-    turns this into an exception, it still ends as :class:`NonFiniteGradient`.
+    A fresh gradient of the right shape is normed once, and ``grad_norm``
+    holds the norm of the gradient ``grad`` last returned, so a memo hit
+    costs no arithmetic.  The norm is also the finite check: a NaN or +-inf
+    entry makes the sum of squares NaN or +inf, so a finite norm proves
+    every entry finite, and only a non-finite one is looked at entry by
+    entry, which tells an overflowed sum of finite entries (accepted, with
+    norm +inf) from a non-finite entry (:class:`NonFiniteGradient`).  The
+    shape is checked first, since a dot of the wrong shape raises instead of
+    reporting.  Where the caller's error state turns an over- or underflow
+    in that dot into an exception, the norm is formed again with the
+    warnings silenced, so it is the same under every error state.
+
+    An exception from ``value_fn`` or ``grad_fn``, or from reading its
+    result as a float or an array, ends as :class:`ObjectiveRaised`.
     """
 
     def __init__(self, obj: Objective):
@@ -107,13 +128,16 @@ class OracleSession:
         self._value_cached: float = 0.0
         self._grad_key: Optional[bytes] = None
         self._grad_cached: Optional[Vector] = None
-        self._zeros = np.zeros(obj.dim)
+        self.grad_norm = 0.0
 
     def value(self, x: Vector) -> float:
         key = x.tobytes()
         if key == self._value_key:
             return self._value_cached
-        v = float(self.obj.value_fn(x))
+        try:
+            v = float(self.obj.value_fn(x))
+        except Exception as exc:
+            raise ObjectiveRaised("value_fn", exc) from exc
         self.n_value += 1
         if not math.isfinite(v):
             raise NonFiniteValue(x, v)
@@ -130,18 +154,23 @@ class OracleSession:
         key = x.tobytes()
         if key == self._grad_key and self._grad_cached is not None:
             return self._grad_cached
-        g = np.asarray(self.obj.grad_fn(x), dtype=np.float64)
+        try:
+            g = np.asarray(self.obj.grad_fn(x), dtype=np.float64)
+        except Exception as exc:
+            raise ObjectiveRaised("grad_fn", exc) from exc
         self.n_grad += 1
         if g.shape != (self.obj.dim,):
             raise OracleError(f"gradient has shape {g.shape}, expected ({self.obj.dim},)")
         try:
-            finite = g.dot(self._zeros) == 0.0
+            norm = l2_norm(g)
         except (FloatingPointError, RuntimeWarning):  # the caller's error state
-            finite = False
-        if not finite:
+            with np.errstate(all="ignore"):
+                norm = l2_norm(g)
+        if not math.isfinite(norm) and not np.isfinite(g).all():
             raise NonFiniteGradient(x)
         self._grad_key = key
         self._grad_cached = g
+        self.grad_norm = norm
         return g
 
     @property

@@ -35,12 +35,13 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .oracle import Objective, OracleError, OracleSession, Vector, as_point
-from .trace import RunReport, TraceRecord
+from .oracle import (Objective, OracleError, OracleSession, Vector, as_point,
+                     l2_norm)
+from .trace import RunReport, Trace, TraceRecord
 
 M_PRACTICAL = "practical"
 M_THEORETICAL = "theoretical"
@@ -120,15 +121,18 @@ class SolverParams:
 
 class Evaluated:
     """A point the run evaluated: ``x``, its value ``f`` (``None`` for a
-    method that never asks for one), its gradient ``g`` and ``norm`` = ||g||,
-    computed here and nowhere else.  Never mutated, so several fields of the
-    state may hold the same record."""
+    method that never asks for one), its gradient ``g`` and ``norm`` = ||g||.
+    The solvers pass the session's ``grad_norm``, read right after the
+    ``grad`` call that returned ``g``, so each fresh gradient is normed once;
+    without it the norm is formed here by the same helper.  Never mutated,
+    so several fields of the state may hold the same record."""
 
     __slots__ = ("x", "f", "g", "norm")
 
-    def __init__(self, x: Vector, f: Optional[float], g: Vector):
+    def __init__(self, x: Vector, f: Optional[float], g: Vector,
+                 norm: Optional[float] = None):
         self.x, self.f, self.g = x, f, g
-        self.norm = math.sqrt(float(g.dot(g)))
+        self.norm = l2_norm(g) if norm is None else norm
 
 
 @dataclass
@@ -159,8 +163,9 @@ def _fold_average_exact(k: int, y_bar: Vector, y: Vector) -> Vector:
     return (2.0 * y + k * y_bar) / (k + 2.0)
 
 
-def new_state(x0: Vector, f0: float, g0: Vector, l_init: float, m0: float) -> EpochState:
-    start = Evaluated(x0, f0, g0)
+def new_state(x0: Vector, f0: float, g0: Vector, l_init: float, m0: float,
+              norm0: Optional[float] = None) -> EpochState:
+    start = Evaluated(x0, f0, g0, norm0)
     return EpochState(k=0, K=0, epoch=1, L=l_init, M=m0,
                       anchor=start, prev=start, cur=start, y=start, y_bar=x0)
 
@@ -300,15 +305,17 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     y_new = x_new + th * dx
 
     state.prev = state.cur
-    state.cur = cur = Evaluated(x_new, session.value(x_new), session.grad(x_new))
-    state.y = y = Evaluated(y_new, session.value(y_new), session.grad(y_new))
+    state.cur = cur = Evaluated(x_new, session.value(x_new), session.grad(x_new),
+                                session.grad_norm)
+    state.y = y = Evaluated(y_new, session.value(y_new), session.grad(y_new),
+                            session.grad_norm)
     _kahan_add(state, dx2)
     monitor = min(cur.norm, y.norm)
 
     ybar_k = state.y_bar  # average of y_0..y_{k-1}: the certifiable point
     ybar: Optional[Evaluated] = None
     if params.m_variant == M_THEORETICAL:
-        ybar = Evaluated(ybar_k, None, session.grad(ybar_k))
+        ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
     state.M = update_m(state, dx2, None if ybar is None else ybar.norm)
 
     if descent_condition_holds(state):
@@ -320,7 +327,7 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
 
     if ybar is None and (pol.certify_mode == CERTIFY_EVERY_ITER or kind != "Step"
                          or (pol.eps is not None and monitor <= pol.eps)):
-        ybar = Evaluated(ybar_k, None, session.grad(ybar_k))
+        ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
     if ybar is not None:
         best.consider(ybar_k, ybar.norm)
 
@@ -354,7 +361,7 @@ class _Proposed:
         f0 = session.value(x0)
         g0 = session.grad(x0)
         self.session, self.params = session, params
-        self.state = new_state(x0, f0, g0, params.l_init, params.m0)
+        self.state = new_state(x0, f0, g0, params.l_init, params.m0, session.grad_norm)
         self.best = _Certified(x0, self.state.anchor.norm)
         self.anchors = [f0]
 
@@ -378,7 +385,11 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     """Run the step-object class ``method`` until ``params.termination``
     stops it, checking before each step, in order: a zero gradient at the
     next base point (``Stationary``), ``eps``, the call and iteration budgets
-    and the clock.  ``observer(method, record)`` sees every record.
+    and the clock.  ``observer(method, record)`` sees every record.  The
+    records are kept column-wise in the report's :class:`Trace`; an
+    :class:`OracleError` (an exception from the objective included, which the
+    session raises as :class:`~restartagd.oracle.ObjectiveRaised`) leaves
+    with them as a list in ``exc.partial_trace``.
 
     NumPy's floating-point warnings are silenced for the whole run, in one
     context entered here: a context per oracle call costs more than a cheap
@@ -389,7 +400,7 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     pol = params.termination
     t0 = time.perf_counter()
     session = OracleSession(obj)
-    trace: List[TraceRecord] = []
+    trace = Trace()
     try:
         m = method(session, as_point(x_init, obj.dim), params)
         best = m.best
@@ -421,7 +432,7 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
                 reason = "EpsReached"
                 break
     except OracleError as exc:
-        exc.partial_trace = trace  # type: ignore[attr-defined]
+        exc.partial_trace = list(trace)  # type: ignore[attr-defined]
         raise
     if best.norm < norms[-1]:  # a Stationary stop certifies a zero gradient
         calls.append(session.n_oracle)

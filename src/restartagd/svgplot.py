@@ -7,9 +7,10 @@ long traces are stride-downsampled so files stay small.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from itertools import compress
+from typing import Iterable, List, Sequence, Tuple
 
-from .trace import TraceRecord
+from .trace import TraceRecord, as_trace
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -89,22 +90,24 @@ class _Panel:
 
 def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
            y_label: str, x_label: str) -> None:
-    xs_all: List[float] = []
-    vals: List[float] = []
-    cleaned = []
-    for label, xs, ys, color in series:
-        pair = [(x, y) for x, y in zip(xs, ys)
-                if math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)]
-        cleaned.append((label, pair, color))
-        xs_all.extend(p[0] for p in pair)
-        vals.extend(p[1] for p in pair)
+    drawn = []  # (xs, ys, color) of each series with a point to draw
+    for _label, xs, ys, color in series:
+        keep = [math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
+                for x, y in zip(xs, ys)]
+        xs = list(compress(xs, keep))
+        if xs:
+            drawn.append((xs, list(compress(ys, keep)), color))
 
-    if xs_all:
-        xlim = (min(xs_all), max(xs_all) if max(xs_all) > min(xs_all) else min(xs_all) + 1)
+    if drawn:
+        # min and max return the first of equal values, so the limits over
+        # the series' limits are those over all the points in series order.
+        x_lo = min(min(xs) for xs, _ys, _color in drawn)
+        x_hi = max(max(xs) for xs, _ys, _color in drawn)
+        xlim = (x_lo, x_hi if x_hi > x_lo else x_lo + 1)
+        lo = min(min(ys) for _xs, ys, _color in drawn)
+        hi = max(max(ys) for _xs, ys, _color in drawn)
         if logy:
-            lo, hi = math.log10(min(vals)), math.log10(max(vals))
-        else:
-            lo, hi = min(vals), max(vals)
+            lo, hi = math.log10(lo), math.log10(hi)
         if hi <= lo:
             lo, hi = lo - 1.0, hi + 1.0
         pad = 0.04 * (hi - lo)
@@ -137,10 +140,8 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
         out.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
                    f'class="tick">{text}</text>')
 
-    for label, pair, color in cleaned:
-        if not pair:
-            continue
-        xs, ys = _downsample([p[0] for p in pair], [p[1] for p in pair])
+    for xs, ys, color in drawn:
+        xs, ys = _downsample(xs, ys)
         pts = " ".join(f"{panel.px(x):.1f},{panel.py(y):.1f}" for x, y in zip(xs, ys))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{pts}"/>')
@@ -152,9 +153,10 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
                f'{_escape(y_label)}</text>')
 
 
-def render_traces_svg(series: Sequence[Tuple[str, Sequence[TraceRecord]]],
+def render_traces_svg(series: Sequence[Tuple[str, Iterable[TraceRecord]]],
                       title: str = "") -> str:
-    """Build the SVG document for one or more labeled traces."""
+    """Build the SVG document for one or more labeled traces, each a
+    :class:`~restartagd.trace.Trace` or any iterable of records."""
     width = _MARGIN_L + _PANEL_W + _MARGIN_R
     height = _MARGIN_T + 2 * (_PANEL_H + _MARGIN_B) + 26
     out: List[str] = []
@@ -170,26 +172,25 @@ def render_traces_svg(series: Sequence[Tuple[str, Sequence[TraceRecord]]],
 
     colored = []
     for i, (label, recs) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        xs = [float(r.n_oracle) for r in recs]
-        colored.append((label, recs, xs, color))
+        trace = as_trace(recs)
+        xs = list(map(float, trace.n_oracle))
+        colored.append((label, trace, xs, PALETTE[i % len(PALETTE)]))
 
     top = _MARGIN_T
-    fx_series = [(label, xs, [r.f_x for r in recs], color)
-                 for label, recs, xs, color in colored]
+    fx_series = [(label, xs, trace.f_x, color) for label, trace, xs, color in colored]
     _panel(out, _MARGIN_L, top, fx_series, logy=False,
            y_label="objective value", x_label="oracle calls")
 
     top2 = _MARGIN_T + _PANEL_H + _MARGIN_B + 26
-    g_series = [(label, xs, [r.grad_norm_monitor for r in recs], color)
-                for label, recs, xs, color in colored]
+    g_series = [(label, xs, trace.grad_norm_monitor, color)
+                for label, trace, xs, color in colored]
     _panel(out, _MARGIN_L, top2, g_series, logy=True,
            y_label="gradient norm", x_label="oracle calls")
 
     # legend across the top, under the title
     lx = _MARGIN_L
     ly = _MARGIN_T - 8
-    for label, _recs, _xs, color in colored:
+    for label, _trace, _xs, color in colored:
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 27}" y="{ly + 4}" class="legend">{_escape(label)}</text>')

@@ -1,16 +1,19 @@
 """Run traces and reports shared by all solvers and the CLI harness.
 
-One :class:`TraceRecord` per iteration, one :class:`RunReport` per run.  The
-CSV layout is the record's field order; floats are written with ``repr`` so a
-read-back record equals the original field for field.
+One :class:`TraceRecord` per iteration, kept column-wise in a :class:`Trace`,
+and one :class:`RunReport` per run.  The CSV layout is the record's field
+order; floats are written with ``repr`` so a read-back record equals the
+original field for field.
 """
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import IO, Iterable, List, Optional, Tuple
+from typing import IO, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +54,79 @@ class TraceRecord:
     event: str
 
 
+# Each column's ``array`` type code, or None for a list of the objects given.
+_TYPECODES = ("q", "q", "q", "q", "d", "d", None, None, None, "d", None)
+
+# Each event name mapped to itself, so a row read back holds the one string.
+_EVENT_NAMES = {name: name for name in EVENTS}
+
+
+class Trace(Sequence):
+    """The rows of a run, a sequence of :class:`TraceRecord` held column-wise.
+
+    ``K``, ``epoch``, ``k`` and ``n_oracle`` are ``array("q")``; ``f_x``,
+    ``grad_norm_monitor`` and ``S_k`` are ``array("d")``, which keeps each
+    binary64 exactly, NaN and -0.0 bits included.  ``grad_norm_ybar``, ``L``,
+    ``M`` and ``event`` are lists of the objects appended: they keep their
+    types (an int ``L`` stays an int, a missing norm stays ``None``), and a
+    row holding the previous row's object (an epoch's ``L``, an unchanged
+    ``M``) adds only a reference.  A row takes 88 B plus the columns' growth
+    slack, against about 310 B as a record.  ``columns`` holds the eleven
+    columns in ``TRACE_COLUMNS`` order.
+
+    It behaves as the list of records it replaces: ``append``, ``len``,
+    iteration and indexing yield records, a slice is a list of records, and
+    it equals any sequence of equal records.  ``Trace(records)`` packs any
+    iterable of records.
+    """
+
+    __slots__ = TRACE_COLUMNS + ("columns",)
+
+    def __init__(self, records: Iterable[TraceRecord] = ()):
+        self.columns = tuple(array(code) if code else [] for code in _TYPECODES)
+        for name, column in zip(TRACE_COLUMNS, self.columns):
+            setattr(self, name, column)
+        for rec in records:
+            self.append(rec)
+
+    def append(self, rec: TraceRecord) -> None:
+        self.K.append(rec.K)
+        self.epoch.append(rec.epoch)
+        self.k.append(rec.k)
+        self.n_oracle.append(rec.n_oracle)
+        self.f_x.append(rec.f_x)
+        self.grad_norm_monitor.append(rec.grad_norm_monitor)
+        self.grad_norm_ybar.append(rec.grad_norm_ybar)
+        self.L.append(rec.L)
+        self.M.append(rec.M)
+        self.S_k.append(rec.S_k)
+        self.event.append(rec.event)
+
+    def __len__(self) -> int:
+        return len(self.K)
+
+    def __iter__(self):
+        return map(TraceRecord, *self.columns)
+
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return list(map(TraceRecord, *(column[i] for column in self.columns)))
+        return TraceRecord(*(column[i] for column in self.columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
+def as_trace(records: Iterable[TraceRecord]) -> Trace:
+    """``records`` itself when it is a :class:`Trace`, else a Trace of them."""
+    return records if isinstance(records, Trace) else Trace(records)
+
+
 @dataclass
 class RunReport:
     solution: np.ndarray
@@ -62,7 +138,7 @@ class RunReport:
     reason: str
     final_L: float
     final_M: float
-    trace: List[TraceRecord] = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     anchor_values: List[float] = field(default_factory=list)
     # (calls, norms): each new best certified norm and the n_oracle it took.
     certified: Tuple[array, array] = field(default_factory=lambda: (array("q"), array("d")))
@@ -89,51 +165,73 @@ class TraceWriter:
         self._out.flush()
 
     def add(self, rec: TraceRecord) -> None:
-        ybar = rec.grad_norm_ybar
-        self._out.write(_ROW % (
-            rec.K, rec.epoch, rec.k, rec.n_oracle,
-            float(rec.f_x), float(rec.grad_norm_monitor),
-            "" if ybar is None else repr(float(ybar)),
-            float(rec.L), float(rec.M), float(rec.S_k), rec.event,
-        ))
-        if rec.event != "Step":
-            self._out.flush()
+        self.add_rows([(rec.K, rec.epoch, rec.k, rec.n_oracle, rec.f_x, rec.grad_norm_monitor,
+                        rec.grad_norm_ybar, rec.L, rec.M, rec.S_k, rec.event)])
+
+    def add_rows(self, rows: Iterable[tuple]) -> None:
+        """Write rows given as tuples of the eleven field values, in
+        ``TRACE_COLUMNS`` order."""
+        write, flush = self._out.write, self._out.flush
+        for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
+            write(_ROW % (K, epoch, k, n_oracle, float(f_x), float(monitor),
+                          "" if ybar is None else repr(float(ybar)),
+                          float(L), float(M), float(S_k), event))
+            if event != "Step":
+                flush()
 
     def close(self) -> None:
         self._out.flush()
 
 
 def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
+    """Write ``records`` (a :class:`Trace` or any iterable of records) as a
+    trace CSV, row by row from the columns."""
+    trace = as_trace(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = TraceWriter(fh)
-        for rec in records:
-            w.add(rec)
+        w.add_rows(zip(*trace.columns))
         w.close()
 
 
-def _unknown_event(event: str):
-    raise ValueError(f"unknown event {event!r}")
-
-
-def read_trace_csv(path: str) -> List[TraceRecord]:
-    """Read a trace CSV back into records.  A row that is not exactly
-    ``len(TRACE_COLUMNS)`` fields wide (the cut last line of a killed write,
-    say), holds a malformed number or an event not in ``EVENTS`` raises
-    ``ValueError`` naming its line."""
+def read_trace_csv(path: str) -> Trace:
+    """Read a trace CSV back into a :class:`Trace`, filling its columns
+    directly.  A row that is not exactly ``len(TRACE_COLUMNS)`` fields wide
+    (the cut last line of a killed write, say), holds a malformed number or
+    an event not in ``EVENTS`` raises ``ValueError`` naming its line.  An
+    ``L`` or ``M`` whose text repeats the previous row's holds the previous
+    row's float, as the run's own trace does."""
+    trace = Trace()
+    (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
+     add_L, add_M, add_S_k, add_event) = (column.append for column in trace.columns)
+    L_text = M_text = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header {header!r}")
         try:
-            return [TraceRecord(int(K), int(epoch), int(k), int(n_oracle), float(f_x),
-                                float(monitor), None if ybar == "" else float(ybar),
-                                float(L), float(M), float(S_k),
-                                event if event in EVENTS else _unknown_event(event))
-                    for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event
-                    in reader]
+            for K, epoch, k, n_oracle, f_x, monitor, ybar, L_row, M_row, S_k, event in reader:
+                if L_row != L_text:
+                    L, L_text = float(L_row), L_row
+                if M_row != M_text:
+                    M, M_text = float(M_row), M_row
+                name = _EVENT_NAMES.get(event)
+                if name is None:
+                    raise ValueError(f"unknown event {event!r}")
+                add_K(int(K))
+                add_epoch(int(epoch))
+                add_k(int(k))
+                add_n_oracle(int(n_oracle))
+                add_f_x(float(f_x))
+                add_monitor(float(monitor))
+                add_ybar(None if ybar == "" else float(ybar))
+                add_L(L)
+                add_M(M)
+                add_S_k(float(S_k))
+                add_event(name)
         except ValueError as exc:
             raise ValueError(f"bad trace row at line {reader.line_num}: {exc}") from None
+    return trace
 
 
 REPORT_SCHEMA = {
@@ -193,6 +291,10 @@ def report_to_dict(report: RunReport, problem: str, solver: str, params: dict,
 
 
 def write_report_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as indented JSON, streaming the encoder's pieces to the
+    file.  Encoding the whole text first writes no faster and holds all of
+    it at once: a ``gd`` report carries one anchor per accepted step, and
+    the default grid then peaks about 7 MB higher."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

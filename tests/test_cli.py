@@ -1,6 +1,7 @@
 """End-to-end CLI tests: run, grid, plot, verify, exit codes, config files."""
 
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -110,6 +111,30 @@ def test_run_oracle_failure_keeps_partial_trace(tmp_path, capsys):
     assert "oracle failure" in capsys.readouterr().err
     records = read_trace_csv(os.path.join(out, "trace.csv"))
     assert len(records) > 0
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_run_of_an_objective_that_raises_exits_3_with_its_partial_trace(
+        tmp_path, capsys, monkeypatch):
+    spec = cli.make_problem("rosenbrock")
+    calls = [0]
+
+    def grad(x):
+        calls[0] += 1
+        if calls[0] == 50:
+            raise RuntimeError("boom")
+        return spec.objective.grad_fn(x)
+
+    raising = dataclasses.replace(spec, objective=dataclasses.replace(spec.objective,
+                                                                      grad_fn=grad))
+    monkeypatch.setattr(cli, "make_problem", lambda *a, **kw: raising)
+    out = str(tmp_path / "cell")
+    assert main(["run", "--problem", "rosenbrock", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "grad_fn raised RuntimeError: boom" in err and "Traceback" not in err
+    records = read_trace_csv(os.path.join(out, "trace.csv"))
+    assert 0 < len(records) < 25  # the practical variant takes 2 gradients a row
+    assert f"partial trace ({len(records)} rows)" in err
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 

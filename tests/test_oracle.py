@@ -1,11 +1,13 @@
 """Oracle layer: validation, counting, memoization, finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
 from restartagd import (NonFiniteGradient, NonFiniteValue, Objective,
-                        OracleError, OracleSession, as_point, fd_gradient,
-                        make_problem)
+                        ObjectiveRaised, OracleError, OracleSession, as_point,
+                        fd_gradient, make_problem, oracle)
 
 ALL_BUILTINS = ["rosenbrock", "quadratic", "cosine_sum", "matcomp_synthetic"]
 
@@ -178,3 +180,79 @@ def test_fd_gradient_does_not_touch_counters():
     sess = OracleSession(spec.objective)
     fd_gradient(spec.objective, np.ones(3))
     assert sess.n_oracle == 0
+
+
+@pytest.mark.parametrize("mode", ["ignore", "raise"])
+def test_overflowed_norm_of_a_finite_gradient_is_accepted_as_inf(mode):
+    # The sum of squares overflows although every entry is finite: accepted,
+    # with norm +inf, under either error state.
+    g = np.array([1e200, 1e200])
+    sess = _grad_of(g)
+    with np.errstate(all=mode):
+        assert sess.grad(np.zeros(2)) is g
+    assert sess.grad_norm == math.inf
+
+
+def test_underflowed_norm_is_the_same_under_every_error_state():
+    norms = []
+    for mode in ("ignore", "raise"):
+        sess = _grad_of(np.array([1e-200]))
+        with np.errstate(all=mode):
+            sess.grad(np.zeros(1))
+        norms.append(sess.grad_norm)
+    with np.errstate(all="ignore"):
+        assert norms == [oracle.l2_norm(np.array([1e-200]))] * 2
+
+
+def test_gradient_is_normed_once_and_a_memo_hit_returns_the_stored_norm(monkeypatch):
+    spec = make_problem("rosenbrock")
+    sess = OracleSession(spec.objective)
+    normed = []
+
+    def counted(g):
+        normed.append(g)
+        return math.sqrt(float(g.dot(g)))
+
+    monkeypatch.setattr(oracle, "l2_norm", counted)
+    x = as_point([0.5, -0.5])
+    g = sess.grad(x)
+    norm = sess.grad_norm
+    assert norm == math.sqrt(float(g.dot(g))) > 0.0 and len(normed) == 1
+    sess.value(x)
+    assert sess.grad(x) is g and sess.grad_norm == norm and len(normed) == 1
+    sess.grad(as_point([1.0, 1.0]))
+    assert sess.grad_norm == 0.0 and len(normed) == 2
+
+
+def _raising(exc, after=1):
+    """A callable raising ``exc`` from its ``after``-th call on, else x."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        if calls[0] >= after:
+            raise exc
+        return x
+    return fn
+
+
+@pytest.mark.parametrize("channel", ["value_fn", "grad_fn"])
+def test_an_objective_that_raises_ends_as_objective_raised(channel):
+    cause = RuntimeError("boom")
+    fns = {"value_fn": lambda x: 0.0, "grad_fn": lambda x: x, channel: _raising(cause)}
+    sess = OracleSession(Objective(dim=1, **fns))
+    call = sess.value if channel == "value_fn" else sess.grad
+    with pytest.raises(ObjectiveRaised, match=f"{channel} raised RuntimeError: boom") as err:
+        call(as_point([1.0]))
+    assert err.value.channel == channel
+    assert err.value.__cause__ is cause
+    assert sess.n_oracle == 0
+
+
+def test_an_interrupt_from_the_objective_keeps_its_type():
+    stop = KeyboardInterrupt()
+    sess = OracleSession(Objective(dim=1, value_fn=_raising(stop), grad_fn=_raising(stop)))
+    for call in (sess.value, sess.grad):
+        with pytest.raises(KeyboardInterrupt) as err:
+            call(as_point([1.0]))
+        assert err.value is stop

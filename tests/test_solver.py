@@ -10,11 +10,12 @@ import pytest
 
 from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
                         NonFiniteGradient, NonFiniteValue, Objective,
-                        SolverParams, TerminationPolicy, gd_run, ll2022_run,
-                        make_problem, quadratic, run)
-from restartagd.solver import (Evaluated, _fold_average_exact, agd_step,
-                               descent_condition_holds, new_state,
-                               restart2_triggered, update_m)
+                        ObjectiveRaised, SolverParams, TerminationPolicy,
+                        gd_run, ll2022_run, make_problem, quadratic, run)
+from restartagd.baselines import _LL2022, _Gd
+from restartagd.solver import (Evaluated, _fold_average_exact, _Proposed,
+                               agd_step, descent_condition_holds, drive,
+                               new_state, restart2_triggered, update_m)
 from reference import theta, update_average, update_m_eager
 
 
@@ -592,6 +593,67 @@ def test_nan_gradient_keeps_clean_prefix_as_partial_trace(method, n_bad):
     else:
         assert 0 < len(partial) < len(clean.trace)
         assert partial == clean.trace[:len(partial)]
+
+
+# The step classes and parameters behind DRIVEN, for runs with an observer.
+STEPS = {
+    "practical": (_Proposed, lambda pol: SolverParams(l_init=3.0, termination=pol)),
+    "theoretical": (_Proposed, lambda pol: SolverParams(
+        l_init=3.0, m_variant="theoretical", termination=pol)),
+    "everyiter": (_Proposed, lambda pol: SolverParams(
+        l_init=3.0, termination=dataclasses.replace(pol, certify_mode=CERTIFY_EVERY_ITER))),
+    "gd": (_Gd, lambda pol: GdParams(l_init=3.0, termination=pol)),
+    "ll2022": (_LL2022, lambda pol: LL2022Params(l_f=3.0, termination=pol)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+@pytest.mark.parametrize("method", sorted(DRIVEN))
+def test_a_raising_gradient_ends_as_objective_raised_with_the_rows_before_it(method, k):
+    spec = make_problem("cosine_sum", dim=4)
+    pol = TerminationPolicy(max_iterations=100)
+    calls, after_row = [0], []  # gradient calls so far; after each clean row
+
+    def counted(x):
+        calls[0] += 1
+        if failing and calls[0] == k:
+            raise cause
+        return spec.objective.grad_fn(x)
+
+    obj = dataclasses.replace(spec.objective, grad_fn=counted)
+    cls, params = STEPS[method]
+    failing, cause = False, RuntimeError("boom")
+    clean = drive(obj, spec.x_init, params(pol), cls,
+                  observer=lambda m, rec: after_row.append(calls[0]))
+    calls[0], failing = 0, True
+    with pytest.raises(ObjectiveRaised) as err:
+        DRIVEN[method](obj, spec.x_init, pol)
+    assert err.value.channel == "grad_fn" and err.value.__cause__ is cause
+    partial = err.value.partial_trace
+    assert type(partial) is list
+    # Exactly the rows whose gradients all came before the k-th call.
+    assert len(partial) == sum(c < k for c in after_row)
+    assert partial == clean.trace[:len(partial)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 30])
+def test_ll2022_diagnostic_value_that_raises_keeps_the_rows_before_it(k):
+    # ll2022 evaluates value_fn once per row, outside the counted oracle.
+    spec = make_problem("cosine_sum", dim=4)
+    pol = TerminationPolicy(max_iterations=100)
+    params = LL2022Params(l_f=3.0, termination=pol)
+    clean = ll2022_run(spec.objective, spec.x_init, params)
+    calls = [0]
+
+    def value(x):
+        calls[0] += 1
+        if calls[0] == k:
+            raise RuntimeError("boom")
+        return spec.objective.value_fn(x)
+
+    with pytest.raises(ObjectiveRaised, match="value_fn raised RuntimeError") as err:
+        ll2022_run(dataclasses.replace(spec.objective, value_fn=value), spec.x_init, params)
+    assert err.value.partial_trace == clean.trace[:k - 1]
 
 
 def _runaway_value(x):

@@ -1,19 +1,23 @@
 """Trace CSV round trips and the JSON report schema."""
 
 import csv
+import gc
 import io
 import json
 import re
+import struct
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
-from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, SolverParams,
-                        TerminationPolicy, TraceRecord, gd_run, ll2022_run,
-                        make_problem, read_trace_csv, report_to_dict, run,
+from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, Objective,
+                        RunReport, SolverParams, TerminationPolicy, Trace,
+                        TraceRecord, gd_run, ll2022_run, make_problem,
+                        read_trace_csv, report_to_dict, run,
                         write_report_json, write_trace_csv)
-from restartagd.trace import EVENTS, TRACE_COLUMNS
+from restartagd.trace import EVENTS, TRACE_COLUMNS, TraceWriter
 
 
 def sample_records():
@@ -128,6 +132,18 @@ def test_trace_rows_match_the_csv_module_byte_for_byte(tmp_path):
     assert "100.0" in path.read_text().splitlines()[1].split(",")
 
 
+def test_streaming_writer_matches_the_trace_writer(tmp_path):
+    recs = _edge_records()
+    buf = io.StringIO(newline="")
+    writer = TraceWriter(buf)
+    for rec in recs:
+        writer.add(rec)
+    writer.close()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), recs)
+    assert buf.getvalue().encode("utf-8") == path.read_bytes()
+
+
 def test_real_run_trace_round_trips(tmp_path):
     spec = make_problem("rosenbrock")
     rep = run(spec.objective, spec.x_init,
@@ -178,3 +194,81 @@ def test_solution_serializes_as_plain_floats():
     doc = report_to_dict(rep, problem="quadratic", solver="proposed", params={})
     assert all(isinstance(v, float) for v in doc["solution"])
     assert np.asarray(doc["solution"]).shape == (3,)
+
+
+# A run past its fixed point (the long-trace benchmark's problem and start):
+# after a few hundred calls every row repeats its epoch's objects.
+def _long_run(iterations):
+    spec = make_problem("cosine_sum", seed=0)
+    return run(spec.objective, spec.x_init,
+               SolverParams(termination=TerminationPolicy(max_iterations=iterations)))
+
+
+def _bytes_per_row(build):
+    """Python heap a trace from ``build()`` keeps, per row, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return grown / len(kept.trace if isinstance(kept, RunReport) else kept)
+
+
+def test_a_trace_holds_at_most_128_bytes_a_row(tmp_path):
+    # As records, a row took about 310 B in a run and 424 B read back.
+    n = 20_000
+    assert _bytes_per_row(lambda: _long_run(n)) <= 128
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, _long_run(n).trace)
+    assert _bytes_per_row(lambda: read_trace_csv(path)) <= 128
+
+
+def test_trace_behaves_as_the_list_of_its_records(tmp_path):
+    recs = sample_records()
+    t = Trace(recs)
+    assert len(t) == 3 and list(t) == recs and t == recs and recs == t
+    assert t[0] == recs[0] and t[-1] == recs[-1] and t[1:] == recs[1:]
+    assert type(t[:2]) is list and t[5:] == []
+    assert all(type(r) is TraceRecord for r in t)
+    with pytest.raises(IndexError):
+        t[3]
+    assert t != recs[:2] and t != recs[::-1] and t != 3
+    assert Trace(t) == t and Trace(list(t)) == recs and Trace() == []
+    t.append(recs[0])
+    assert len(t) == 4 and t[-1] == recs[0] and t.K.tolist() == [1, 2, 3, 1]
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, recs)
+    back = read_trace_csv(path)
+    assert type(back) is Trace and back == Trace(recs)
+    assert [getattr(back, name) for name in TRACE_COLUMNS] == list(back.columns)
+
+
+def test_trace_columns_keep_types_shared_objects_and_float_bits(tmp_path):
+    quad = make_problem("quadratic", dim=3)
+    pol = TerminationPolicy(max_iterations=50)
+    rep = run(quad.objective, quad.x_init, SolverParams(l_init=100, m0=1, termination=pol))
+    assert type(rep.trace[0].L) is int and type(rep.trace[0].M) is int
+    assert rep.trace[0].grad_norm_ybar is None
+    assert all(e in EVENTS for e in rep.trace.event)
+    # Read back, L and M are floats, one object for each run of equal text.
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, rep.trace)
+    back = read_trace_csv(path)
+    assert type(back[0].L) is float and back == rep.trace
+    assert back.L[0] is back.L[1] and back.M[0] is back.M[1]
+    canonical = {name: name for name in EVENTS}
+    assert all(e is canonical[e] for e in back.event)
+
+    # ll2022's diagnostic f_x is whatever value_fn returned, bits and all.
+    odd_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+    values = iter([odd_nan, -0.0] * 10)
+    obj = Objective(dim=2, value_fn=lambda x: next(values), grad_fn=lambda x: x)
+    rep = ll2022_run(obj, [1.0, 2.0], LL2022Params(l_f=100, m_f=1,
+                                                   termination=TerminationPolicy(max_iterations=4)))
+    bits = [struct.pack("<d", v) for v in rep.trace.f_x]
+    assert bits == [struct.pack("<d", v) for v in (odd_nan, -0.0, odd_nan, -0.0)]
+    assert [struct.pack("<d", r.f_x) for r in rep.trace] == bits
+    assert type(rep.trace.L[0]) is int and rep.trace.grad_norm_ybar == [None] * 4
