@@ -101,6 +101,11 @@ CLI_CASES = {
     "plot": [["run", "--problem", "cosine_sum", "--solver", "proposed",
               "--max-iterations", "60", "--eps", "0", "--out", "out"],
              ["plot", "out/trace.csv", "--out", "fig/trace.svg", "--title", "golden"]],
+    # A run whose last ~290 rows sit at a bitwise fixed point, where every
+    # float column of the trace repeats the row before, written and read back.
+    "fixedpoint": [["run", "--problem", "cosine_sum", "--eps", "0",
+                    "--max-iterations", "400", "--out", "out"],
+                   ["plot", "out/trace.csv", "--out", "fig/trace.svg"]],
     # Overflows to a non-finite gradient: exit 3 with a partial trace.
     "ll2022-overflow": [["run", "--problem", "rosenbrock", "--solver", "ll2022",
                          "--l-init", "0.001", "--out", "out"]],
