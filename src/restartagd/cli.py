@@ -215,7 +215,8 @@ def _termination(s: dict) -> agd.TerminationPolicy:
 
 def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
     """Run the solve ``s`` describes and write its ``trace.csv`` and ``report.json``
-    into ``out_dir``; an oracle failure writes the partial trace and re-raises."""
+    into ``out_dir``; an oracle failure or a ``KeyboardInterrupt`` writes the
+    partial trace and re-raises."""
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
     pol = _termination(s)
@@ -228,7 +229,7 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
 
     try:
         report = entry(spec.objective, spec.x_init, params)
-    except OracleError as exc:
+    except (OracleError, KeyboardInterrupt) as exc:
         write_trace_csv(trace_path, getattr(exc, "partial_trace", []))
         raise
     write_trace_csv(trace_path, report.trace)

@@ -388,8 +388,9 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     and the clock.  ``observer(method, record)`` sees every record.  The
     records are kept column-wise in the report's :class:`Trace`; an
     :class:`OracleError` (an exception from the objective included, which the
-    session raises as :class:`~restartagd.oracle.ObjectiveRaised`) leaves
-    with them as a list in ``exc.partial_trace``.
+    session raises as :class:`~restartagd.oracle.ObjectiveRaised`) or a
+    ``KeyboardInterrupt``, which keeps its type, leaves with them as a list
+    in ``exc.partial_trace``.
 
     NumPy's floating-point warnings are silenced for the whole run, in one
     context entered here: a context per oracle call costs more than a cheap
@@ -431,7 +432,7 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
             if record.event == "Terminated":
                 reason = "EpsReached"
                 break
-    except OracleError as exc:
+    except (OracleError, KeyboardInterrupt) as exc:
         exc.partial_trace = list(trace)  # type: ignore[attr-defined]
         raise
     if best.norm < norms[-1]:  # a Stationary stop certifies a zero gradient

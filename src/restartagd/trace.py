@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from array import array
 from collections.abc import Sequence
@@ -148,36 +149,63 @@ class RunReport:
         return self.n_value + self.n_grad
 
 
-# One trace row as ``csv.writer`` would write it: floats as ``repr`` and
-# ``\r\n`` line ends.  No field ever needs quoting, since numbers never hold
-# a comma, a quote or a line break and the names in ``EVENTS`` are a fixed set
-# without them.
-_ROW = "%d,%d,%d,%d,%r,%r,%s,%r,%r,%r,%s\r\n"
+# One trace row as ``csv.writer`` would write it, the six floats given as
+# their ``repr`` texts, with ``\r\n`` line ends.  No field ever needs quoting,
+# since numbers never hold a comma, a quote or a line break and the names in
+# ``EVENTS`` are a fixed set without them.
+_ROW = "%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\r\n"
 
 
 class TraceWriter:
-    """Streams trace rows to a CSV file, flushing at least once per epoch so a
-    crashed run still leaves complete epochs on disk."""
+    """Streams trace rows to a CSV file.  :meth:`add` flushes at every row
+    that ends or restarts an epoch, so a crashed run still leaves complete
+    epochs on disk; :meth:`add_rows` writes a finished trace in one go.
+
+    A float field is written as ``repr(float(v))``.  Most of them repeat the
+    row before (``L`` and ``M`` hold for an epoch, ``gd``'s ``M`` and ``S_k``
+    are always 0.0, and past a bitwise fixed point every float column
+    repeats), so the writer keeps each float column's last value and its
+    text and formats a field only when its value differs from the last one
+    bit for bit: unequal, or a zero of the other sign.  NaN never equals
+    itself and is always formatted again; a missing ``grad_norm_ybar``
+    (``None``, written empty) equals only ``None``.  Values are compared, not
+    objects, so any rows benefit, records built one by one included."""
 
     def __init__(self, out: IO[str]):
         self._out = out
         csv.writer(out).writerow(TRACE_COLUMNS)
         self._out.flush()
+        # (value, text) of the last row's f_x, grad_norm_monitor,
+        # grad_norm_ybar, L, M and S_k: any value with its own text will do.
+        self._last = (0.0, "0.0", 0.0, "0.0", None, "", 0.0, "0.0", 0.0, "0.0", 0.0, "0.0")
 
     def add(self, rec: TraceRecord) -> None:
         self.add_rows([(rec.K, rec.epoch, rec.k, rec.n_oracle, rec.f_x, rec.grad_norm_monitor,
                         rec.grad_norm_ybar, rec.L, rec.M, rec.S_k, rec.event)])
+        if rec.event != "Step":
+            self._out.flush()
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Write rows given as tuples of the eleven field values, in
         ``TRACE_COLUMNS`` order."""
-        write, flush = self._out.write, self._out.flush
+        write, sign = self._out.write, math.copysign
+        f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1 = self._last
         for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
-            write(_ROW % (K, epoch, k, n_oracle, float(f_x), float(monitor),
-                          "" if ybar is None else repr(float(ybar)),
-                          float(L), float(M), float(S_k), event))
-            if event != "Step":
-                flush()
+            # ``v != last``, or both zero with different signs: format anew.
+            if f_x != f0 or f_x == 0.0 and sign(1.0, f_x) != sign(1.0, f0):
+                f0, f1 = f_x, repr(float(f_x))
+            if monitor != g0 or monitor == 0.0 and sign(1.0, monitor) != sign(1.0, g0):
+                g0, g1 = monitor, repr(float(monitor))
+            if ybar != y0 or ybar == 0.0 and sign(1.0, ybar) != sign(1.0, y0):
+                y0, y1 = ybar, "" if ybar is None else repr(float(ybar))
+            if L != L0 or L == 0.0 and sign(1.0, L) != sign(1.0, L0):
+                L0, L1 = L, repr(float(L))
+            if M != M0 or M == 0.0 and sign(1.0, M) != sign(1.0, M0):
+                M0, M1 = M, repr(float(M))
+            if S_k != S0 or S_k == 0.0 and sign(1.0, S_k) != sign(1.0, S0):
+                S0, S1 = S_k, repr(float(S_k))
+            write(_ROW % (K, epoch, k, n_oracle, f1, g1, y1, L1, M1, S1, event))
+        self._last = (f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1)
 
     def close(self) -> None:
         self._out.flush()
@@ -185,7 +213,7 @@ class TraceWriter:
 
 def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
     """Write ``records`` (a :class:`Trace` or any iterable of records) as a
-    trace CSV, row by row from the columns."""
+    trace CSV, row by row from the columns, with one flush at the end."""
     trace = as_trace(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = TraceWriter(fh)
@@ -197,24 +225,36 @@ def read_trace_csv(path: str) -> Trace:
     """Read a trace CSV back into a :class:`Trace`, filling its columns
     directly.  A row that is not exactly ``len(TRACE_COLUMNS)`` fields wide
     (the cut last line of a killed write, say), holds a malformed number or
-    an event not in ``EVENTS`` raises ``ValueError`` naming its line.  An
-    ``L`` or ``M`` whose text repeats the previous row's holds the previous
-    row's float, as the run's own trace does."""
+    an event not in ``EVENTS`` raises ``ValueError`` naming its line.
+
+    A float field whose text repeats the previous row's is not parsed again:
+    it holds the previous row's float, as the run's own trace holds one
+    object for an epoch's ``L``.  Equal text is equal bits, so this reads
+    every field exactly as ``float`` would."""
     trace = Trace()
     (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
      add_L, add_M, add_S_k, add_event) = (column.append for column in trace.columns)
-    L_text = M_text = None
+    # The last row's text of each float field; None matches no text.
+    f_text = g_text = y_text = L_text = M_text = S_text = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header {header!r}")
         try:
-            for K, epoch, k, n_oracle, f_x, monitor, ybar, L_row, M_row, S_k, event in reader:
+            for K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row, event in reader:
+                if f_row != f_text:
+                    f_x, f_text = float(f_row), f_row
+                if g_row != g_text:
+                    monitor, g_text = float(g_row), g_row
+                if y_row != y_text:
+                    ybar, y_text = None if y_row == "" else float(y_row), y_row
                 if L_row != L_text:
                     L, L_text = float(L_row), L_row
                 if M_row != M_text:
                     M, M_text = float(M_row), M_row
+                if S_row != S_text:
+                    S_k, S_text = float(S_row), S_row
                 name = _EVENT_NAMES.get(event)
                 if name is None:
                     raise ValueError(f"unknown event {event!r}")
@@ -222,12 +262,12 @@ def read_trace_csv(path: str) -> Trace:
                 add_epoch(int(epoch))
                 add_k(int(k))
                 add_n_oracle(int(n_oracle))
-                add_f_x(float(f_x))
-                add_monitor(float(monitor))
-                add_ybar(None if ybar == "" else float(ybar))
+                add_f_x(f_x)
+                add_monitor(monitor)
+                add_ybar(ybar)
                 add_L(L)
                 add_M(M)
-                add_S_k(float(S_k))
+                add_S_k(S_k)
                 add_event(name)
         except ValueError as exc:
             raise ValueError(f"bad trace row at line {reader.line_num}: {exc}") from None

@@ -138,6 +138,34 @@ def test_run_of_an_objective_that_raises_exits_3_with_its_partial_trace(
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_run_interrupted_from_the_objective_writes_its_partial_trace(tmp_path, monkeypatch):
+    spec = cli.make_problem("rosenbrock")
+    calls, after_row = [0], []  # gradient calls so far; after each clean row
+
+    def grad(x):
+        calls[0] += 1
+        if interrupting and calls[0] == 50:
+            raise KeyboardInterrupt
+        return spec.objective.grad_fn(x)
+
+    interrupting = False
+    obj = dataclasses.replace(spec.objective, grad_fn=grad)
+    clean = solver.run(obj, spec.x_init, solver.SolverParams(
+        termination=solver.TerminationPolicy(max_iterations=40)),
+        observer=lambda m, rec: after_row.append(calls[0]))
+    calls[0], interrupting = 0, True
+    monkeypatch.setattr(cli, "make_problem",
+                        lambda *a, **kw: dataclasses.replace(spec, objective=obj))
+    out = str(tmp_path / "cell")
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--problem", "rosenbrock", "--out", out])
+    records = read_trace_csv(os.path.join(out, "trace.csv"))
+    # Exactly the rows whose gradients all came before the interrupted call.
+    n = sum(c < 50 for c in after_row)
+    assert 0 < n < 40 and records == clean.trace[:n]
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_diverging_run_emits_no_runtime_warning(tmp_path, capsys):
     # ll2022 with a step constant far below Rosenbrock's curvature overflows
     # before the gradient turns non-finite; the overflow must stay silent.

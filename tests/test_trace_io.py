@@ -144,6 +144,58 @@ def test_streaming_writer_matches_the_trace_writer(tmp_path):
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
 
+# Adjacent values a writer that reuses the previous row's text must tell
+# apart (zeros of either sign, NaN after NaN, None after a value and back)
+# or may share (an int and the equal float, which print alike).
+NAN = float("nan")
+REPEATS = {
+    "f_x": [0.0, -0.0, 0.0, NAN, NAN, 1.5, 1.5, -0.0],
+    "grad_norm_monitor": [-0.0, 0.0, -0.0, NAN, NAN, 2.5, 2.5, 0.0],
+    "grad_norm_ybar": [None, 0.75, 0.75, 0.75, None, 0.0, -0.0, None],
+    "L": [100, 100.0, 100, 100.0, NAN, NAN, 0.0, -0.0],
+    "M": [0.0, -0.0, -0.0, 0.0, 0, 0.0, NAN, NAN],
+    "S_k": [0.0, -0.0, 0.0, -0.0, -0.0, NAN, NAN, 3.0],
+}
+
+
+def _repeat_records():
+    n = len(REPEATS["f_x"])
+    return [TraceRecord(K=i + 1, epoch=1, k=i + 1, n_oracle=2 * i, event="Step",
+                        **{name: column[i] for name, column in REPEATS.items()})
+            for i in range(n)]
+
+
+def test_repeated_values_are_written_as_their_own_text(tmp_path):
+    recs = _repeat_records()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), recs)
+    assert path.read_bytes() == _reference_csv(recs).encode("utf-8")
+    buf = io.StringIO(newline="")
+    writer = TraceWriter(buf)
+    for rec in recs:        # one row a call: the last row's texts carry over
+        writer.add(rec)
+    writer.close()
+    assert buf.getvalue().encode("utf-8") == path.read_bytes()
+
+
+def test_repeated_texts_read_back_bit_for_bit_as_shared_floats(tmp_path):
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, _repeat_records())
+    back = read_trace_csv(path)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(back) == len(rows)
+    for name in REPEATS:
+        want = [None if row[name] == "" else float(row[name]) for row in rows]
+        got = list(getattr(back, name))
+        assert [v is None for v in got] == [v is None for v in want], name
+        assert ([struct.pack("<d", v) for v in got if v is not None]
+                == [struct.pack("<d", v) for v in want if v is not None]), name
+    ybar = back.grad_norm_ybar
+    assert ybar[1] is ybar[2] is ybar[3] and ybar[0] is ybar[4] is None
+    assert back.L[0] is back.L[1] is back.L[2] and back.M[1] is back.M[2]
+
+
 def test_real_run_trace_round_trips(tmp_path):
     spec = make_problem("rosenbrock")
     rep = run(spec.objective, spec.x_init,
