@@ -16,8 +16,8 @@ from typing import List
 
 from .oracle import Objective, ObjectiveRaised, OracleSession, Vector
 from .solver import (DEFAULT_TERMINATION, Evaluated, TerminationPolicy,
-                     _Certified, drive)
-from .trace import RunReport, TraceRecord
+                     _Certified, check_finite, drive)
+from .trace import RunReport
 
 
 class ParamError(ValueError):
@@ -32,10 +32,8 @@ class GdParams:
     termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
-        if self.l_init <= 0:
-            raise ParamError("l_init must be positive")
-        if self.alpha <= 1:
-            raise ParamError("alpha must exceed 1")
+        check_finite("l_init", self.l_init, 0, error=ParamError)
+        check_finite("alpha", self.alpha, 1, error=ParamError)
         if not 0 < self.beta <= 1:
             raise ParamError("beta must lie in (0, 1]")
 
@@ -55,7 +53,7 @@ class _Gd:
     def final(self):
         return self.rejected + 1, self.L, 0.0
 
-    def step(self) -> TraceRecord:
+    def step(self) -> tuple:
         p, session, base = self.params, self.session, self.base
         trial_L = self.L
         x_trial = base.x - (1.0 / trial_L) * base.g
@@ -72,9 +70,8 @@ class _Gd:
             self.rejected += 1
             self.L = p.alpha * trial_L
             event = "RestartUnsuccessful"
-        return TraceRecord(self.accepted + self.rejected, self.rejected + 1, self.accepted,
-                           session.n_oracle, base.f, base.norm, None,
-                           trial_L, 0.0, 0.0, event)
+        return (self.accepted + self.rejected, self.rejected + 1, self.accepted,
+                session.n_oracle, base.f, base.norm, None, trial_L, 0.0, 0.0, event)
 
 
 def gd_run(obj: Objective, x_init, params: GdParams) -> RunReport:
@@ -101,8 +98,8 @@ class LL2022Params:
     termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
-        if self.l_f <= 0 or self.m_f <= 0 or self.eps <= 0:
-            raise ParamError("l_f, m_f, eps must be positive")
+        for name in ("l_f", "m_f", "eps"):
+            check_finite(name, getattr(self, name), 0, error=ParamError)
         if self.momentum <= 0.0:
             raise ParamError(
                 "momentum 1 - 2 (m_f eps)^(1/4) / sqrt(l_f) is not positive; "
@@ -132,7 +129,7 @@ class _LL2022:
     def final(self):
         return self.epoch, self.params.l_f, self.params.m_f
 
-    def step(self) -> TraceRecord:
+    def step(self) -> tuple:
         p, session = self.params, self.session
         k = self.k + 1
         self.K += 1
@@ -151,14 +148,13 @@ class _LL2022:
             f_diag = float("nan")
         except Exception as exc:
             raise ObjectiveRaised("value_fn", exc) from exc
-        record = TraceRecord(self.K, self.epoch, k, session.n_oracle, f_diag, base.norm,
-                             None, p.l_f, p.m_f, s,
-                             "RestartSuccessful" if restart else "Step")
+        row = (self.K, self.epoch, k, session.n_oracle, f_diag, base.norm, None,
+               p.l_f, p.m_f, s, "RestartSuccessful" if restart else "Step")
         if restart:
             k, s = 0, 0.0
             self.epoch += 1
         self.k, self.s = k, s
-        return record
+        return row
 
 
 def ll2022_run(obj: Objective, x_init, params: LL2022Params) -> RunReport:

@@ -9,6 +9,7 @@ subcommands) overridden by command-line flags; flags always win.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
@@ -313,25 +314,27 @@ def cmd_grid(args: argparse.Namespace) -> int:
                     "thresholds": thresholds,
                 })
 
-    if args.parallel and args.parallel > 1:
-        # Loaded only here: it pulls in ``multiprocessing``, which a serial
-        # grid never needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_grid_worker, payloads))
-    else:
-        rows = [_grid_worker(p) for p in payloads]
-
     columns = ["problem", "solver", "l_init", "m0", "reason",
                "certified_grad_norm", "n_oracle"]
     columns += [_thr_col(t) for t in thresholds]
     columns += ["error"]
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+    rows = []
+    with contextlib.ExitStack() as stack:
+        cells = map(_grid_worker, payloads)
+        if args.parallel and args.parallel > 1:
+            # Loaded only here: it pulls in ``multiprocessing``, never needed serially.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.parallel))
+            cells = pool.map(_grid_worker, payloads)  # in payload order
+        fh = stack.enter_context(open(summary_path, "w", newline="", encoding="utf-8"))
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        writer.writerows(rows)
+        for row in cells:  # as each cell returns: a Ctrl-C keeps the finished rows
+            writer.writerow(row)
+            fh.flush()
+            rows.append(row)
     for row in rows:
         status = row["error"] or row["reason"]
         print(f"{row['solver']:9s} l_init={row['l_init']:>8s} m0={row['m0']:>8s} "
@@ -382,8 +385,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad verify setting: {exc}")
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    if box <= 0:
-        raise ConfigError("box must be positive")
+    if not (0 < box < math.inf and math.isfinite(l_scale) and math.isfinite(m_scale)):
+        raise ConfigError("box must be positive and finite, l_scale and m_scale finite")
     names = _names(s["problems"], "problems")
 
     failures = 0

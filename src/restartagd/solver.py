@@ -23,11 +23,11 @@ clock, the counted :class:`OracleSession`, the stop checks, the partial trace
 of an :class:`OracleError`, the :class:`RunReport` and its certified path
 (``certified``: the call count at each fall of the certified norm).  A method
 is a step object built as ``method(session, x0, params)``, which makes the
-first evaluations; ``step()`` returns one iteration's :class:`TraceRecord`
-(event ``Terminated`` ends the run as ``EpsReached``), ``base`` is the next
-step's base point as an :class:`Evaluated` record, ``best`` the best evaluated
-gradient with its point, ``anchors`` the anchor values and ``final`` the final
-``(epochs, L, M)``.
+first evaluations; ``step()`` returns one iteration's trace row, a tuple in
+``TRACE_COLUMNS`` order ending in its event (``Terminated`` ends the run as
+``EpsReached``), ``base`` is the next step's base point as an
+:class:`Evaluated` record, ``best`` the best evaluated gradient with its
+point, ``anchors`` the anchor values and ``final`` the final ``(epochs, L, M)``.
 """
 from __future__ import annotations
 
@@ -56,6 +56,13 @@ _EPS = float(np.finfo(np.float64).eps)
 _NOISE_GUARD = 1e9
 
 
+def check_finite(name: str, value, low: float, closed: bool = False,
+                 error: type = ValueError) -> None:
+    """Raise ``error`` unless ``low < value < inf``, ``low <= value`` if ``closed``."""
+    if not (low <= value if closed else low < value) or value == math.inf:
+        raise error(f"{name} must be finite and {'>=' if closed else '>'} {low}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TerminationPolicy:
     """When to stop: a certified gradient-norm target, an oracle-call budget,
@@ -78,14 +85,10 @@ class TerminationPolicy:
                 and self.max_iterations is None and self.max_seconds is None):
             raise ValueError(
                 "set at least one of eps, max_oracle_calls, max_iterations, max_seconds")
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_oracle_calls is not None and self.max_oracle_calls < 1:
-            raise ValueError("max_oracle_calls must be >= 1")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        for name, low, closed in (("eps", 0, False), ("max_oracle_calls", 1, True),
+                                  ("max_iterations", 1, True), ("max_seconds", 0, False)):
+            if getattr(self, name) is not None:
+                check_finite(name, getattr(self, name), low, closed=closed)
         if self.certify_mode not in (CERTIFY_ON_CANDIDATE, CERTIFY_EVERY_ITER):
             raise ValueError(f"unknown certify_mode {self.certify_mode!r}")
 
@@ -107,12 +110,9 @@ class SolverParams:
     termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
-        if self.l_init <= 0:
-            raise ValueError("l_init must be positive")
-        if self.m0 <= 0:
-            raise ValueError("m0 must be positive")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
+        check_finite("l_init", self.l_init, 0)
+        check_finite("m0", self.m0, 0)
+        check_finite("alpha", self.alpha, 1)
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
         if self.m_variant not in (M_PRACTICAL, M_THEORETICAL):
@@ -288,10 +288,10 @@ def _kahan_add(state: EpochState, term: float) -> None:
 
 
 def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
-             best: _Certified) -> TraceRecord:
+             best: _Certified) -> tuple:
     """Run one accelerated iteration, update M and the running average, then
-    apply the descent test and the progress test, in that order.  The
-    returned record's event names the outcome."""
+    apply the descent test and the progress test, in that order.  Returns
+    the iteration's trace row, whose event names the outcome."""
     pol = params.termination
     state.k += 1
     state.K += 1
@@ -338,9 +338,8 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
     if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
         kind = "Terminated"
 
-    record = TraceRecord(state.K, state.epoch, k, session.n_oracle, cur.f, monitor,
-                         None if ybar is None else ybar.norm,
-                         step_L, state.M, state.s, kind)
+    row = (state.K, state.epoch, k, session.n_oracle, cur.f, monitor,
+           None if ybar is None else ybar.norm, step_L, state.M, state.s, kind)
 
     # A failed descent test re-anchors at x_{k-1} and raises L; a met
     # progress test re-anchors at x_k and lowers L.  M survives both.
@@ -351,7 +350,7 @@ def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
         state.L *= params.beta
         _begin_epoch(state, state.cur)
 
-    return record
+    return row
 
 
 class _Proposed:
@@ -373,11 +372,11 @@ class _Proposed:
     def final(self):
         return self.state.epoch, self.state.L, self.state.M
 
-    def step(self) -> TraceRecord:
-        record = agd_step(self.state, self.session, self.params, self.best)
-        if record.event in ("RestartUnsuccessful", "RestartSuccessful"):
+    def step(self) -> tuple:
+        row = agd_step(self.state, self.session, self.params, self.best)
+        if row[-1] in ("RestartUnsuccessful", "RestartSuccessful"):
             self.anchors.append(self.state.anchor.f)
-        return record
+        return row
 
 
 @np.errstate(all="ignore")
@@ -385,12 +384,12 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     """Run the step-object class ``method`` until ``params.termination``
     stops it, checking before each step, in order: a zero gradient at the
     next base point (``Stationary``), ``eps``, the call and iteration budgets
-    and the clock.  ``observer(method, record)`` sees every record.  The
-    records are kept column-wise in the report's :class:`Trace`; an
-    :class:`OracleError` (an exception from the objective included, which the
-    session raises as :class:`~restartagd.oracle.ObjectiveRaised`) or a
-    ``KeyboardInterrupt``, which keeps its type, leaves with them as a list
-    in ``exc.partial_trace``.
+    and the clock.  The rows go column-wise into the report's :class:`Trace`;
+    ``observer(method, record)`` sees each as a :class:`TraceRecord` built for
+    it alone.  An :class:`OracleError` (an exception from the objective
+    included, raised as :class:`~restartagd.oracle.ObjectiveRaised`) or a
+    ``KeyboardInterrupt``, which keeps its type, leaves with the rows so far,
+    as records, in the list ``exc.partial_trace``.
 
     NumPy's floating-point warnings are silenced for the whole run, in one
     context entered here: a context per oracle call costs more than a cheap
@@ -422,14 +421,14 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
                 reason = "TimeLimit"
                 break
 
-            record = m.step()
-            trace.append(record)
+            row = m.step()
+            trace.append(row)
             if best.norm < norms[-1]:
                 calls.append(session.n_oracle)
                 norms.append(best.norm)
             if observer is not None:
-                observer(m, record)
-            if record.event == "Terminated":
+                observer(m, TraceRecord(*row))
+            if row[-1] == "Terminated":
                 reason = "EpsReached"
                 break
     except (OracleError, KeyboardInterrupt) as exc:

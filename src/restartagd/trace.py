@@ -1,9 +1,9 @@
 """Run traces and reports shared by all solvers and the CLI harness.
 
-One :class:`TraceRecord` per iteration, kept column-wise in a :class:`Trace`,
-and one :class:`RunReport` per run.  The CSV layout is the record's field
-order; floats are written with ``repr`` so a read-back record equals the
-original field for field.
+One row per iteration, a tuple in ``TRACE_COLUMNS`` order (a
+:class:`TraceRecord` names its fields), kept column-wise in a :class:`Trace`,
+and one :class:`RunReport` per run.  The CSV layout is the column order;
+floats are written with ``repr`` so a read-back row equals the original.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ class TraceRecord:
     the averaged point when it was actually evaluated, else None.  ``L`` is
     the step constant the iteration used (before any restart rescaling), ``M``
     the curvature estimate after this iteration's update, ``S_k`` the running
-    sum of squared displacements within the epoch.
+    sum of squared displacements within the epoch.  It iterates as its row.
     """
 
     K: int
@@ -54,6 +54,11 @@ class TraceRecord:
     S_k: float
     event: str
 
+    def __iter__(self):
+        return iter(_FIELDS(self))
+
+
+_FIELDS = operator.attrgetter(*TRACE_COLUMNS)
 
 # Each column's ``array`` type code, or None for a list of the objects given.
 _TYPECODES = ("q", "q", "q", "q", "d", "d", None, None, None, "d", None)
@@ -63,7 +68,7 @@ _EVENT_NAMES = {name: name for name in EVENTS}
 
 
 class Trace(Sequence):
-    """The rows of a run, a sequence of :class:`TraceRecord` held column-wise.
+    """The rows of a run, held column-wise, as a sequence of :class:`TraceRecord`.
 
     ``K``, ``epoch``, ``k`` and ``n_oracle`` are ``array("q")``; ``f_x``,
     ``grad_norm_monitor`` and ``S_k`` are ``array("d")``, which keeps each
@@ -75,33 +80,37 @@ class Trace(Sequence):
     slack, against about 310 B as a record.  ``columns`` holds the eleven
     columns in ``TRACE_COLUMNS`` order.
 
-    It behaves as the list of records it replaces: ``append``, ``len``,
-    iteration and indexing yield records, a slice is a list of records, and
-    it equals any sequence of equal records.  ``Trace(records)`` packs any
-    iterable of records.
+    ``append`` takes a row, a tuple or a record; ``Trace(rows)`` packs any
+    iterable of them.  Read, it behaves as a list of records: iteration and
+    indexing yield records, a slice is a list of records, and it equals any
+    sequence of equal records.
     """
 
-    __slots__ = TRACE_COLUMNS + ("columns",)
+    __slots__ = TRACE_COLUMNS + ("columns", "_appends")
 
-    def __init__(self, records: Iterable[TraceRecord] = ()):
+    def __init__(self, rows: Iterable[tuple] = ()):
         self.columns = tuple(array(code) if code else [] for code in _TYPECODES)
         for name, column in zip(TRACE_COLUMNS, self.columns):
             setattr(self, name, column)
-        for rec in records:
-            self.append(rec)
+        self._appends = tuple(column.append for column in self.columns)
+        for row in rows:
+            self.append(row)
 
-    def append(self, rec: TraceRecord) -> None:
-        self.K.append(rec.K)
-        self.epoch.append(rec.epoch)
-        self.k.append(rec.k)
-        self.n_oracle.append(rec.n_oracle)
-        self.f_x.append(rec.f_x)
-        self.grad_norm_monitor.append(rec.grad_norm_monitor)
-        self.grad_norm_ybar.append(rec.grad_norm_ybar)
-        self.L.append(rec.L)
-        self.M.append(rec.M)
-        self.S_k.append(rec.S_k)
-        self.event.append(rec.event)
+    def append(self, row: tuple) -> None:
+        (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
+         add_L, add_M, add_S_k, add_event) = self._appends
+        K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event = row
+        add_K(K)
+        add_epoch(epoch)
+        add_k(k)
+        add_n_oracle(n_oracle)
+        add_f_x(f_x)
+        add_monitor(monitor)
+        add_ybar(ybar)
+        add_L(L)
+        add_M(M)
+        add_S_k(S_k)
+        add_event(event)
 
     def __len__(self) -> int:
         return len(self.K)
@@ -123,9 +132,9 @@ class Trace(Sequence):
         return f"Trace({list(self)!r})"
 
 
-def as_trace(records: Iterable[TraceRecord]) -> Trace:
-    """``records`` itself when it is a :class:`Trace`, else a Trace of them."""
-    return records if isinstance(records, Trace) else Trace(records)
+def as_trace(rows: Iterable[tuple]) -> Trace:
+    """``rows`` itself when it is a :class:`Trace`, else a Trace of them."""
+    return rows if isinstance(rows, Trace) else Trace(rows)
 
 
 @dataclass
@@ -157,9 +166,8 @@ _ROW = "%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\r\n"
 
 
 class TraceWriter:
-    """Streams trace rows to a CSV file.  :meth:`add` flushes at every row
-    that ends or restarts an epoch, so a crashed run still leaves complete
-    epochs on disk; :meth:`add_rows` writes a finished trace in one go.
+    """Writes trace rows to a CSV file: the header, flushed, when built, then
+    the rows of each :meth:`add_rows` call; :meth:`close` flushes them.
 
     A float field is written as ``repr(float(v))``.  Most of them repeat the
     row before (``L`` and ``M`` hold for an epoch, ``gd``'s ``M`` and ``S_k``
@@ -169,7 +177,7 @@ class TraceWriter:
     bit for bit: unequal, or a zero of the other sign.  NaN never equals
     itself and is always formatted again; a missing ``grad_norm_ybar``
     (``None``, written empty) equals only ``None``.  Values are compared, not
-    objects, so any rows benefit, records built one by one included."""
+    objects, so any rows benefit, rows added one call at a time included."""
 
     def __init__(self, out: IO[str]):
         self._out = out
@@ -179,15 +187,9 @@ class TraceWriter:
         # grad_norm_ybar, L, M and S_k: any value with its own text will do.
         self._last = (0.0, "0.0", 0.0, "0.0", None, "", 0.0, "0.0", 0.0, "0.0", 0.0, "0.0")
 
-    def add(self, rec: TraceRecord) -> None:
-        self.add_rows([(rec.K, rec.epoch, rec.k, rec.n_oracle, rec.f_x, rec.grad_norm_monitor,
-                        rec.grad_norm_ybar, rec.L, rec.M, rec.S_k, rec.event)])
-        if rec.event != "Step":
-            self._out.flush()
-
     def add_rows(self, rows: Iterable[tuple]) -> None:
-        """Write rows given as tuples of the eleven field values, in
-        ``TRACE_COLUMNS`` order."""
+        """Write rows, each the eleven field values in ``TRACE_COLUMNS``
+        order (a tuple or a record)."""
         write, sign = self._out.write, math.copysign
         f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1 = self._last
         for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
@@ -211,10 +213,10 @@ class TraceWriter:
         self._out.flush()
 
 
-def write_trace_csv(path: str, records: Iterable[TraceRecord]) -> None:
-    """Write ``records`` (a :class:`Trace` or any iterable of records) as a
-    trace CSV, row by row from the columns, with one flush at the end."""
-    trace = as_trace(records)
+def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:
+    """Write ``rows`` (a :class:`Trace` or any iterable of rows or records)
+    as a trace CSV, row by row from the columns, with one flush at the end."""
+    trace = as_trace(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = TraceWriter(fh)
         w.add_rows(zip(*trace.columns))
@@ -233,7 +235,7 @@ def read_trace_csv(path: str) -> Trace:
     every field exactly as ``float`` would."""
     trace = Trace()
     (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
-     add_L, add_M, add_S_k, add_event) = (column.append for column in trace.columns)
+     add_L, add_M, add_S_k, add_event) = trace._appends
     # The last row's text of each float field; None matches no text.
     f_text = g_text = y_text = L_text = M_text = S_text = None
     with open(path, "r", newline="", encoding="utf-8") as fh:

@@ -20,6 +20,10 @@ def test_gd_params_validation():
         GdParams(alpha=1.0)
     with pytest.raises(ParamError):
         GdParams(beta=1.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for field in ("l_init", "alpha", "beta"):
+            with pytest.raises(ParamError, match=field):
+                GdParams(**{field: bad})
 
 
 def test_gd_exact_curvature_lands_in_one_step():
@@ -112,6 +116,10 @@ def test_ll_params_validation():
         LL2022Params(l_f=0.0)
     with pytest.raises(ParamError):
         LL2022Params(l_f=1.0, m_f=-1.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for field in ("l_f", "m_f", "eps"):
+            with pytest.raises(ParamError, match=field):
+                LL2022Params(**{"l_f": 1.0, field: bad})
     # momentum 1 - 2 (m_f eps)^(1/4) / sqrt(l_f) must come out positive
     with pytest.raises(ParamError):
         LL2022Params(l_f=0.01, m_f=1.0, eps=1.0)

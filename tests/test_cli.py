@@ -272,6 +272,35 @@ def _summary_rows(out):
         return list(csv.DictReader(fh))
 
 
+def test_an_interrupted_serial_grid_keeps_the_finished_cells_rows(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GRID_CFG)
+    whole = str(tmp_path / "whole")
+    assert main(["grid", "--config", str(cfg), "--out", whole]) == 0
+    built, make = [], cli.make_problem
+
+    def interrupt(x):
+        raise KeyboardInterrupt
+
+    def make_problem(*args, **kwargs):  # the second cell's gradient is a Ctrl-C
+        spec = make(*args, **kwargs)
+        built.append(spec)
+        if len(built) == 2:
+            spec = dataclasses.replace(spec, objective=dataclasses.replace(
+                spec.objective, grad_fn=interrupt))
+        return spec
+
+    monkeypatch.setattr(cli, "make_problem", make_problem)
+    out = str(tmp_path / "cut")
+    with pytest.raises(KeyboardInterrupt):
+        main(["grid", "--config", str(cfg), "--out", out])
+    assert len(built) == 2
+    with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(os.path.join(whole, "summary.csv"), "r", encoding="utf-8") as fh:
+        assert lines == fh.read().splitlines()[:2]
+
+
 def test_grid_calls_to_eps_is_where_the_run_certified(tmp_path):
     # Under EveryIter only averaged points certify, so the cheaper monitor
     # norms in the trace must not count toward calls_to_{thr}.
@@ -376,6 +405,18 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("run", "seed: 1.5", 2),
     ("verify", "samples: 10.7", 2),
     ("verify", "seed: 0.5", 2),
+    ("run", "problem: quadratic\n  m0: .nan", 2),
+    ("run", "problem: quadratic\n  l_init: .nan", 2),
+    ("run", "problem: quadratic\n  eps: .nan", 2),
+    ("run", "problem: quadratic\n  max_seconds: .nan", 2),
+    ("run", "problem: quadratic\n  solver: gd\n  l_init: .inf", 2),
+    ("run", "problem: quadratic\n  solver: ll2022\n  m0: -.inf", 2),
+    ("run", "problem: quadratic\n  alpha: .inf", 2),
+    ("grid", "l_init: [.nan]", 2),
+    ("verify", "box: .nan", 2),
+    ("verify", "box: .inf", 2),
+    ("verify", "l_scale: .nan", 2),
+    ("verify", "m_scale: .inf", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"

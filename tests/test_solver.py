@@ -11,7 +11,9 @@ import pytest
 from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
                         NonFiniteGradient, NonFiniteValue, Objective,
                         ObjectiveRaised, SolverParams, TerminationPolicy,
-                        gd_run, ll2022_run, make_problem, quadratic, run)
+                        TraceRecord, gd_run, ll2022_run, make_problem,
+                        quadratic, run)
+from restartagd import solver
 from restartagd.baselines import _LL2022, _Gd
 from restartagd.solver import (Evaluated, _fold_average_exact, _Proposed,
                                agd_step, descent_condition_holds, drive,
@@ -88,6 +90,10 @@ def test_termination_policy_requires_a_live_criterion():
         TerminationPolicy(max_seconds=0.0)
     with pytest.raises(ValueError):
         TerminationPolicy(eps=1e-6, certify_mode="Sometimes")
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("eps", "max_oracle_calls", "max_iterations", "max_seconds"):
+            with pytest.raises(ValueError, match=field):
+                TerminationPolicy(**{field: bad})
 
 
 def test_solver_params_validation():
@@ -103,6 +109,12 @@ def test_solver_params_validation():
         SolverParams(beta=1.1)
     with pytest.raises(ValueError):
         SolverParams(m_variant="exotic")
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("l_init", "m0", "alpha"):
+            with pytest.raises(ValueError, match=field):
+                SolverParams(**{field: bad})
+    with pytest.raises(ValueError):
+        SolverParams(beta=math.nan)
     # beta = 1 is allowed: it freezes L on successful restarts.
     SolverParams(beta=1.0)
 
@@ -299,7 +311,7 @@ def test_first_step_from_origin_is_wild_and_restarts():
                           termination=TerminationPolicy(max_iterations=10))
     best = _Certified(x0, math.sqrt(float(g0 @ g0)))
 
-    rec = agd_step(st, session, params, best)
+    rec = TraceRecord(*agd_step(st, session, params, best))
     assert rec.event == "RestartUnsuccessful"
     assert rec.L == 1e-3            # the L the step actually used
     assert rec.K == 1 and rec.k == 1
@@ -605,6 +617,28 @@ STEPS = {
     "gd": (_Gd, lambda pol: GdParams(l_init=3.0, termination=pol)),
     "ll2022": (_LL2022, lambda pol: LL2022Params(l_f=3.0, termination=pol)),
 }
+
+
+@pytest.mark.parametrize("method", sorted(DRIVEN))
+def test_an_observer_gets_each_row_as_a_record_built_only_for_it(method, monkeypatch):
+    spec = make_problem("cosine_sum", dim=4)
+    cls, params = STEPS[method]
+    pol = TerminationPolicy(max_iterations=100)
+    built, seen = [], []
+
+    def counted(*row):
+        built.append(row)
+        return TraceRecord(*row)
+
+    monkeypatch.setattr(solver, "TraceRecord", counted)
+    plain = drive(spec.objective, spec.x_init, params(pol), cls)
+    assert built == []
+    watched = drive(spec.objective, spec.x_init, params(pol), cls,
+                    observer=lambda m, rec: seen.append(rec))
+    assert len(seen) == len(built) == len(watched.trace) == 100
+    assert seen == list(watched.trace) == list(plain.trace)
+    types = [tuple(map(type, rec)) for rec in seen]
+    assert types == [tuple(map(type, rec)) for rec in plain.trace]
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 40])

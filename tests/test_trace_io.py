@@ -1,12 +1,14 @@
 """Trace CSV round trips and the JSON report schema."""
 
 import csv
+import dataclasses
 import gc
 import io
 import json
 import re
 import struct
 import tracemalloc
+from array import array
 
 import jsonschema
 import numpy as np
@@ -137,7 +139,7 @@ def test_streaming_writer_matches_the_trace_writer(tmp_path):
     buf = io.StringIO(newline="")
     writer = TraceWriter(buf)
     for rec in recs:
-        writer.add(rec)
+        writer.add_rows([rec])
     writer.close()
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), recs)
@@ -173,7 +175,7 @@ def test_repeated_values_are_written_as_their_own_text(tmp_path):
     buf = io.StringIO(newline="")
     writer = TraceWriter(buf)
     for rec in recs:        # one row a call: the last row's texts carry over
-        writer.add(rec)
+        writer.add_rows([rec])
     writer.close()
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
@@ -296,6 +298,41 @@ def test_trace_behaves_as_the_list_of_its_records(tmp_path):
     back = read_trace_csv(path)
     assert type(back) is Trace and back == Trace(recs)
     assert [getattr(back, name) for name in TRACE_COLUMNS] == list(back.columns)
+
+
+def test_a_record_iterates_as_its_row_in_column_order():
+    assert tuple(f.name for f in dataclasses.fields(TraceRecord)) == TRACE_COLUMNS
+    for rec in sample_records():
+        assert tuple(rec) == tuple(getattr(rec, name) for name in TRACE_COLUMNS)
+        assert TraceRecord(*rec) == rec
+
+
+def _columns(trace):
+    # Float arrays compare by their bits, so a NaN equals its own copy.
+    return [c.tobytes() if isinstance(c, array) else c for c in trace.columns]
+
+
+def test_a_trace_of_rows_equals_the_trace_of_the_equal_records(tmp_path):
+    nan = float("nan")
+    rows = [(1, 1, 1, 6, 3.25, 1.5, None, 100, 1e-16, 4.0, "Step"),
+            (2, 1, 2, 10, nan, 0.25, 0.75, 100, nan, -0.0, "RestartSuccessful"),
+            (3, 2, 1, 15, -0.0, nan, None, 9e-4, nan, 0.5, "Terminated")]
+    recs = [TraceRecord(*row) for row in rows]
+    from_rows, from_recs = Trace(rows), Trace(recs)
+    # A NaN read from a float array is a new object, which no record equals.
+    assert _columns(from_rows) == _columns(from_recs) and from_rows[0] == recs[0]
+    assert type(from_rows.L[0]) is int and from_rows.grad_norm_ybar[0] is None
+    # Appending mixes the two shapes; writing takes either.
+    from_rows.append(recs[0])
+    from_recs.append(rows[0])
+    assert _columns(from_rows) == _columns(from_recs)
+    path_rows, path_recs = tmp_path / "rows.csv", tmp_path / "recs.csv"
+    write_trace_csv(str(path_rows), rows)
+    write_trace_csv(str(path_recs), recs)
+    assert path_rows.read_bytes() == path_recs.read_bytes()
+    buf = io.StringIO(newline="")
+    TraceWriter(buf).add_rows(rows)
+    assert buf.getvalue().encode("utf-8") == path_rows.read_bytes()
 
 
 def test_trace_columns_keep_types_shared_objects_and_float_bits(tmp_path):
