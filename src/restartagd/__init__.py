@@ -7,7 +7,7 @@ the gradient Lipschitz constant and of the Hessian Lipschitz constant, and
 restarts itself whenever an internally checkable progress condition fails.
 """
 
-from .baselines import GdParams, LL2022Params, ParamError, gd_run, ll2022_run
+from .baselines import GdParams, LL2022Params, gd_run, ll2022_run
 from .checks import (InequalityReport, WeightError, check_descent_lemma,
                      check_jensen_gradient, check_trapezoid,
                      estimate_M_bruteforce, potential)
@@ -20,7 +20,7 @@ from .problems import (DATA_ENV_VAR, PROBLEM_NAMES, DimensionError,
                        make_problem, matrix_completion, quadratic, rosenbrock,
                        synthetic_completion_instance)
 from .solver import (CERTIFY_EVERY_ITER, CERTIFY_ON_CANDIDATE, M_PRACTICAL,
-                     M_THEORETICAL, SolverParams, TerminationPolicy, run)
+                     M_THEORETICAL, ParamError, SolverParams, TerminationPolicy, run)
 from .trace import (REPORT_SCHEMA, RunReport, Trace, TraceRecord,
                     read_trace_csv, report_to_dict, write_report_json,
                     write_trace_csv)

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from typing import List
 
 from .oracle import Objective, ObjectiveRaised, OracleSession, Vector
-from .solver import (DEFAULT_TERMINATION, Evaluated, TerminationPolicy,
-                     _Certified, check_finite, drive)
+from .solver import (DEFAULT_TERMINATION, Evaluated, ParamError,
+                     TerminationPolicy, _Certified, check_finite, drive)
 from .trace import RunReport
-
-
-class ParamError(ValueError):
-    """Baseline parameters are outside their admissible range."""
 
 
 @dataclass(frozen=True)
@@ -32,8 +28,8 @@ class GdParams:
     termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
-        check_finite("l_init", self.l_init, 0, error=ParamError)
-        check_finite("alpha", self.alpha, 1, error=ParamError)
+        check_finite("l_init", self.l_init, 0)
+        check_finite("alpha", self.alpha, 1)
         if not 0 < self.beta <= 1:
             raise ParamError("beta must lie in (0, 1]")
 
@@ -99,7 +95,7 @@ class LL2022Params:
 
     def __post_init__(self):
         for name in ("l_f", "m_f", "eps"):
-            check_finite(name, getattr(self, name), 0, error=ParamError)
+            check_finite(name, getattr(self, name), 0)
         if self.momentum <= 0.0:
             raise ParamError(
                 "momentum 1 - 2 (m_f eps)^(1/4) / sqrt(l_f) is not positive; "

@@ -182,8 +182,8 @@ def _names(value, key: str) -> list:
     """A config value naming one or several solvers or problems, as a list."""
     if isinstance(value, str):
         return [value]
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a name or a list of names, not {value!r}")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a name or a non-empty list of names, not {value!r}")
     return value
 
 
@@ -293,11 +293,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     s = _settings(GRID_DEFAULTS, args, "grid")
     solvers = [(name, _solver(name)) for name in _names(s["solvers"], "solvers")]
     try:
-        l_values = [float(v) for v in np.atleast_1d(s["l_init"])]
-        m_values = [float(v) for v in np.atleast_1d(s["m0"])]
-        thresholds = [float(v) for v in np.atleast_1d(s["thresholds"])]
+        l_values, m_values, thresholds = ([float(v) for v in np.atleast_1d(s[key])]
+                                          for key in ("l_init", "m0", "thresholds"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid setting: {exc}")
+    for key, values in (("l_init", l_values), ("m0", m_values)):
+        if not values:
+            raise ConfigError(f"{key} must not be an empty list")
     out_dir = s["out"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -319,14 +321,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
     columns += [_thr_col(t) for t in thresholds]
     columns += ["error"]
     summary_path = os.path.join(out_dir, "summary.csv")
-    rows = []
     with contextlib.ExitStack() as stack:
         cells = map(_grid_worker, payloads)
         if args.parallel and args.parallel > 1:
             # Loaded only here: it pulls in ``multiprocessing``, never needed serially.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.parallel))
+            pool = ProcessPoolExecutor(max_workers=args.parallel)
+            # Leaving drops the cells not yet started, so a Ctrl-C (or any
+            # error) waits only for those running; a finished grid has none.
+            stack.callback(pool.shutdown, cancel_futures=True)
             cells = pool.map(_grid_worker, payloads)  # in payload order
         fh = stack.enter_context(open(summary_path, "w", newline="", encoding="utf-8"))
         writer = csv.DictWriter(fh, fieldnames=columns)
@@ -334,11 +338,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         for row in cells:  # as each cell returns: a Ctrl-C keeps the finished rows
             writer.writerow(row)
             fh.flush()
-            rows.append(row)
-    for row in rows:
-        status = row["error"] or row["reason"]
-        print(f"{row['solver']:9s} l_init={row['l_init']:>8s} m0={row['m0']:>8s} "
-              f"-> {status} (n_oracle={row['n_oracle']})")
+            print(f"{row['solver']:9s} l_init={row['l_init']:>8s} m0={row['m0']:>8s} "
+                  f"-> {row['error'] or row['reason']} (n_oracle={row['n_oracle']})")
     print(f"wrote {summary_path}")
     return EXIT_OK
 
@@ -377,16 +378,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     s = _settings(VERIFY_DEFAULTS, args, "verify")
     try:
         samples = _whole(s, "samples")
-        box = float(s["box"])
-        l_scale = float(s["l_scale"])
-        m_scale = float(s["m_scale"])
+        agd.check_finite("samples", samples, 1, closed=True)
+        box, l_scale, m_scale = (float(s[key]) for key in ("box", "l_scale", "m_scale"))
+        for key, val in (("box", box), ("l_scale", l_scale), ("m_scale", m_scale)):
+            agd.check_finite(key, val, 0)
         rng = np.random.default_rng(_whole(s, "seed"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad verify setting: {exc}")
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if not (0 < box < math.inf and math.isfinite(l_scale) and math.isfinite(m_scale)):
-        raise ConfigError("box must be positive and finite, l_scale and m_scale finite")
     names = _names(s["problems"], "problems")
 
     failures = 0

@@ -16,20 +16,20 @@ import numpy as np
 from .oracle import Objective, Vector, as_point
 
 
-class ParseError(Exception):
-    """A data file line could not be parsed; carries the 1-based line number."""
+class _LineError(Exception):
+    """An error at a data file line; carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
 
 
-class DimensionError(Exception):
+class ParseError(_LineError):
+    """A data file line could not be parsed."""
+
+
+class DimensionError(_LineError):
     """An index in a data file falls outside the declared matrix shape."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 def rosenbrock() -> Objective:
@@ -54,8 +54,6 @@ def rosenbrock() -> Objective:
 
 def quadratic(d: int, lam: float = 1.0) -> Objective:
     """Isotropic quadratic f(x) = (lam/2) ||x||^2 with curvature ``lam`` > 0."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if lam <= 0:
         raise ValueError("lam must be positive")
 
@@ -74,8 +72,6 @@ def quadratic(d: int, lam: float = 1.0) -> Objective:
 def cosine_sum(d: int) -> Objective:
     """f(x) = sum_i cos(x_i): smooth, nonconvex, curvature and third
     derivative both bounded by 1."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
 
     def value(v: Vector) -> float:
         return float(np.sum(np.cos(v)))

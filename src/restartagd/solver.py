@@ -56,11 +56,16 @@ _EPS = float(np.finfo(np.float64).eps)
 _NOISE_GUARD = 1e9
 
 
-def check_finite(name: str, value, low: float, closed: bool = False,
-                 error: type = ValueError) -> None:
-    """Raise ``error`` unless ``low < value < inf``, ``low <= value`` if ``closed``."""
+class ParamError(ValueError):
+    """Solver, baseline or termination parameters are outside their admissible range."""
+
+
+def check_finite(name: str, value, low: float, closed: bool = False) -> None:
+    """Raise :class:`ParamError` unless ``low < value < inf``, ``low <= value``
+    if ``closed``."""
     if not (low <= value if closed else low < value) or value == math.inf:
-        raise error(f"{name} must be finite and {'>=' if closed else '>'} {low}, not {value!r}")
+        raise ParamError(f"{name} must be finite and {'>=' if closed else '>'} {low}, "
+                         f"not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,14 +88,14 @@ class TerminationPolicy:
     def __post_init__(self):
         if (self.eps is None and self.max_oracle_calls is None
                 and self.max_iterations is None and self.max_seconds is None):
-            raise ValueError(
+            raise ParamError(
                 "set at least one of eps, max_oracle_calls, max_iterations, max_seconds")
         for name, low, closed in (("eps", 0, False), ("max_oracle_calls", 1, True),
                                   ("max_iterations", 1, True), ("max_seconds", 0, False)):
             if getattr(self, name) is not None:
                 check_finite(name, getattr(self, name), low, closed=closed)
         if self.certify_mode not in (CERTIFY_ON_CANDIDATE, CERTIFY_EVERY_ITER):
-            raise ValueError(f"unknown certify_mode {self.certify_mode!r}")
+            raise ParamError(f"unknown certify_mode {self.certify_mode!r}")
 
 
 DEFAULT_TERMINATION = TerminationPolicy(eps=1e-6, max_oracle_calls=100_000)
@@ -114,9 +119,9 @@ class SolverParams:
         check_finite("m0", self.m0, 0)
         check_finite("alpha", self.alpha, 1)
         if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
+            raise ParamError("beta must lie in (0, 1]")
         if self.m_variant not in (M_PRACTICAL, M_THEORETICAL):
-            raise ValueError(f"unknown m_variant {self.m_variant!r}")
+            raise ParamError(f"unknown m_variant {self.m_variant!r}")
 
 
 class Evaluated:
@@ -271,8 +276,7 @@ class _Certified:
     __slots__ = ("point", "norm")
 
     def __init__(self, point: Vector, norm: float):
-        self.point = point
-        self.norm = norm
+        self.point, self.norm = point, norm
 
     def consider(self, point: Vector, norm: float) -> None:
         if norm < self.norm:
@@ -388,8 +392,8 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     ``observer(method, record)`` sees each as a :class:`TraceRecord` built for
     it alone.  An :class:`OracleError` (an exception from the objective
     included, raised as :class:`~restartagd.oracle.ObjectiveRaised`) or a
-    ``KeyboardInterrupt``, which keeps its type, leaves with the rows so far,
-    as records, in the list ``exc.partial_trace``.
+    ``KeyboardInterrupt``, which keeps its type, leaves with the run's own
+    :class:`Trace` of the rows completed so far as ``exc.partial_trace``.
 
     NumPy's floating-point warnings are silenced for the whole run, in one
     context entered here: a context per oracle call costs more than a cheap
@@ -432,7 +436,9 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
                 reason = "EpsReached"
                 break
     except (OracleError, KeyboardInterrupt) as exc:
-        exc.partial_trace = list(trace)  # type: ignore[attr-defined]
+        for column in trace.columns:  # a Ctrl-C inside ``Trace.append`` cuts a row
+            del column[len(trace.event):]
+        exc.partial_trace = trace  # type: ignore[attr-defined]
         raise
     if best.norm < norms[-1]:  # a Stationary stop certifies a zero gradient
         calls.append(session.n_oracle)

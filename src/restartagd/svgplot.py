@@ -70,24 +70,6 @@ def _fmt_num(v: float) -> str:
     return s
 
 
-class _Panel:
-    def __init__(self, x0: float, y0: float, xlim, ylim, logy: bool):
-        self.x0, self.y0 = x0, y0
-        self.xlim, self.ylim = xlim, ylim
-        self.logy = logy
-
-    def px(self, x: float) -> float:
-        lo, hi = self.xlim
-        frac = 0.0 if hi == lo else (x - lo) / (hi - lo)
-        return self.x0 + frac * _PANEL_W
-
-    def py(self, y: float) -> float:
-        lo, hi = self.ylim
-        v = math.log10(y) if self.logy else y
-        frac = 0.0 if hi == lo else (v - lo) / (hi - lo)
-        return self.y0 + _PANEL_H - frac * _PANEL_H
-
-
 def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
            y_label: str, x_label: str) -> None:
     drawn = []  # (xs, ys, color) of each series with a point to draw
@@ -115,16 +97,26 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
     else:
         xlim, ylim = (0.0, 1.0), (0.0, 1.0)
 
-    panel = _Panel(x0, y0, xlim, ylim, logy)
+    (x_lo, x_hi), (y_lo, y_hi) = xlim, ylim
+
+    def px(x: float) -> float:  # data to SVG coordinates
+        frac = 0.0 if x_hi == x_lo else (x - x_lo) / (x_hi - x_lo)
+        return x0 + frac * _PANEL_W
+
+    def py(y: float) -> float:
+        v = math.log10(y) if logy else y
+        frac = 0.0 if y_hi == y_lo else (v - y_lo) / (y_hi - y_lo)
+        return y0 + _PANEL_H - frac * _PANEL_H
+
     out.append(f'<rect x="{x0}" y="{y0}" width="{_PANEL_W}" height="{_PANEL_H}" '
                f'fill="none" stroke="#444" stroke-width="1"/>')
 
     # x ticks
     for t in _linear_ticks(*xlim):
-        px = panel.px(t)
-        out.append(f'<line x1="{px:.1f}" y1="{y0 + _PANEL_H}" x2="{px:.1f}" '
+        tx = px(t)
+        out.append(f'<line x1="{tx:.1f}" y1="{y0 + _PANEL_H}" x2="{tx:.1f}" '
                    f'y2="{y0 + _PANEL_H + 5}" stroke="#444"/>')
-        out.append(f'<text x="{px:.1f}" y="{y0 + _PANEL_H + 18}" text-anchor="middle" '
+        out.append(f'<text x="{tx:.1f}" y="{y0 + _PANEL_H + 18}" text-anchor="middle" '
                    f'class="tick">{_fmt_num(t)}</text>')
     # y ticks
     if logy:
@@ -135,14 +127,14 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
     else:
         y_ticks = [(t, _fmt_num(t)) for t in _linear_ticks(*ylim)]
     for t, text in y_ticks:
-        py = panel.py(t)
-        out.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#444"/>')
-        out.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
+        ty = py(t)
+        out.append(f'<line x1="{x0 - 5}" y1="{ty:.1f}" x2="{x0}" y2="{ty:.1f}" stroke="#444"/>')
+        out.append(f'<text x="{x0 - 8}" y="{ty + 4:.1f}" text-anchor="end" '
                    f'class="tick">{text}</text>')
 
     for xs, ys, color in drawn:
         xs, ys = _downsample(xs, ys)
-        pts = " ".join(f"{panel.px(x):.1f},{panel.py(y):.1f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{pts}"/>')
 

@@ -300,15 +300,13 @@ REPORT_SCHEMA = {
         "final_M": {"type": "number", "minimum": 0},
         "anchor_values": {"type": "array", "items": {"type": "number"}},
         "trace_path": {"type": "string"},
-        "wall_seconds": {"type": "number", "minimum": 0},
     },
     "additionalProperties": True,
 }
 
 
 def report_to_dict(report: RunReport, problem: str, solver: str, params: dict,
-                   trace_path: Optional[str] = None,
-                   wall_seconds: Optional[float] = None) -> dict:
+                   trace_path: Optional[str] = None) -> dict:
     doc = {
         "problem": problem,
         "solver": solver,
@@ -327,8 +325,6 @@ def report_to_dict(report: RunReport, problem: str, solver: str, params: dict,
     }
     if trace_path is not None:
         doc["trace_path"] = trace_path
-    if wall_seconds is not None:
-        doc["wall_seconds"] = float(wall_seconds)
     return doc
 
 

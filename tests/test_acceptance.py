@@ -7,7 +7,6 @@ matrix-completion benchmark, exact call accounting, and anchor monotonicity.
 Shared runs live in module-scoped fixtures so each trajectory is computed
 once.  Every test prints a one-line summary (visible under ``pytest -s``)."""
 
-import math
 import time
 
 import numpy as np
@@ -22,21 +21,6 @@ from reference import theta, update_average
 
 L_GRID = (1e2, 1e3, 1e4)
 M_GRID = (1.0, 10.0, 100.0)
-
-
-def best_calls_to(trace, thresholds):
-    """First n_oracle at which any genuinely evaluated gradient norm in the
-    trace has dropped to each threshold."""
-    best = math.inf
-    out = {}
-    for rec in trace:
-        for g in (rec.grad_norm_monitor, rec.grad_norm_ybar):
-            if g is not None and g < best:
-                best = g
-        for thr in thresholds:
-            if thr not in out and best <= thr:
-                out[thr] = rec.n_oracle
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +104,15 @@ def trend():
                    SolverParams(l_init=10.0, termination=term))
     rep_gd = gd_run(prob.objective, prob.x_init,
                     GdParams(l_init=10.0, termination=term))
-    return {"thresholds": thresholds,
-            "proposed": (rep_prop, best_calls_to(rep_prop.trace, thresholds)),
-            "gd": (rep_gd, best_calls_to(rep_gd.trace, thresholds))}
+    out = {"thresholds": thresholds}
+    for name, rep in (("proposed", rep_prop), ("gd", rep_gd)):
+        # grid's lookup: the first call count of the certified path at or
+        # below each threshold.
+        calls, norms = rep.certified
+        hits = {thr: next((c for c, norm in zip(calls, norms) if norm <= thr), None)
+                for thr in thresholds}
+        out[name] = (rep, {thr: c for thr, c in hits.items() if c is not None})
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from restartagd import (GdParams, LL2022Params, NonFiniteGradient, ParamError,
-                        TerminationPolicy, gd_run, ll2022_run, make_problem,
-                        quadratic)
+                        TerminationPolicy, Trace, gd_run, ll2022_run,
+                        make_problem, quadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -182,5 +182,5 @@ def test_ll_mistuned_step_size_diverges():
         ll2022_run(spec.objective, spec.x_init, LL2022Params(
             l_f=1e2, termination=TerminationPolicy(eps=1e-6,
                                                    max_oracle_calls=100_000)))
-    assert isinstance(err.value.partial_trace, list)
+    assert isinstance(err.value.partial_trace, Trace)
     assert len(err.value.partial_trace) > 0

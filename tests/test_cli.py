@@ -301,6 +301,68 @@ def test_an_interrupted_serial_grid_keeps_the_finished_cells_rows(tmp_path, monk
         assert lines == fh.read().splitlines()[:2]
 
 
+# Eight cells of 0.2 s each: two run at a time, so an interrupt after the
+# first row leaves most of them queued.
+TIMED_GRID_CFG = """
+grid:
+  problem: cosine_sum
+  dim: 4
+  solvers: [proposed]
+  l_init: [1.0, 2.0]
+  m0: [1.0, 2.0, 3.0, 4.0]
+  eps: 0
+  max_oracle_calls: null
+  max_seconds: 0.2
+"""
+
+
+def test_an_interrupted_parallel_grid_keeps_its_row_and_cancels_queued_cells(
+        tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(TIMED_GRID_CFG)
+    written, writerow = [], csv.DictWriter.writerow
+
+    def interrupt_after_first_row(self, row):  # the header, then the first cell's row
+        if len(written) == 2:
+            raise KeyboardInterrupt
+        written.append(row)
+        return writerow(self, row)
+
+    monkeypatch.setattr(csv.DictWriter, "writerow", interrupt_after_first_row)
+    out = str(tmp_path / "grid")
+    with pytest.raises(KeyboardInterrupt):
+        main(["grid", "--config", str(cfg), "--out", out, "--parallel", "2"])
+    [row] = _summary_rows(out)
+    assert (row["solver"], row["l_init"], row["m0"], row["reason"]) == (
+        "proposed", "1.0", "1.0", "TimeLimit")
+    reports = [name for name in os.listdir(out)
+               if os.path.exists(os.path.join(out, name, "report.json"))]
+    assert "proposed_L1_M1" in reports and len(reports) < 8
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid", "solvers"), ("grid", "l_init"), ("grid", "m0"), ("verify", "problems")])
+def test_an_empty_sweep_axis_exits_2_naming_its_key(tmp_path, capsys, section, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  {key}: []\n")
+    out = str(tmp_path / "out")
+    argv = [section, "--config", str(cfg)] + (["--out", out] if section == "grid" else [])
+    assert main(argv) == 2
+    assert f"error: {key} must" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_grid_without_thresholds_has_no_calls_to_columns(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("grid:\n  thresholds: []\n  solvers: gd\n  l_init: 4\n" + GRID_SMALL)
+    out = str(tmp_path / "grid")
+    assert main(["grid", "--config", str(cfg), "--out", out]) == 0
+    with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == ["problem", "solver", "l_init", "m0", "reason",
+                                        "certified_grad_norm", "n_oracle", "error"]
+    assert len(_summary_rows(out)) == 1
+
+
 def test_grid_calls_to_eps_is_where_the_run_certified(tmp_path):
     # Under EveryIter only averaged points certify, so the cheaper monitor
     # norms in the trace must not count toward calls_to_{thr}.
@@ -417,6 +479,8 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("verify", "box: .inf", 2),
     ("verify", "l_scale: .nan", 2),
     ("verify", "m_scale: .inf", 2),
+    ("verify", "l_scale: -1", 2),
+    ("verify", "m_scale: 0", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"

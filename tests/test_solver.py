@@ -11,7 +11,7 @@ import pytest
 from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
                         NonFiniteGradient, NonFiniteValue, Objective,
                         ObjectiveRaised, SolverParams, TerminationPolicy,
-                        TraceRecord, gd_run, ll2022_run, make_problem,
+                        Trace, TraceRecord, gd_run, ll2022_run, make_problem,
                         quadratic, run)
 from restartagd import solver
 from restartagd.baselines import _LL2022, _Gd
@@ -664,10 +664,42 @@ def test_a_raising_gradient_ends_as_objective_raised_with_the_rows_before_it(met
         DRIVEN[method](obj, spec.x_init, pol)
     assert err.value.channel == "grad_fn" and err.value.__cause__ is cause
     partial = err.value.partial_trace
-    assert type(partial) is list
+    assert type(partial) is Trace
     # Exactly the rows whose gradients all came before the k-th call.
     assert len(partial) == sum(c < k for c in after_row)
     assert partial == clean.trace[:len(partial)]
+
+
+@pytest.mark.parametrize("column", [1, 6, 10])
+@pytest.mark.parametrize("method", sorted(DRIVEN))
+def test_a_ctrl_c_inside_trace_append_leaves_whole_rows(method, column, monkeypatch):
+    # The interrupt lands after ``column`` of row 31's eleven appends, so
+    # the columns before it hold one value more than those after.
+    spec = make_problem("cosine_sum", dim=4)
+    pol = TerminationPolicy(max_iterations=100)
+    clean = DRIVEN[method](spec.objective, spec.x_init, pol)
+
+    class CutTrace(Trace):
+        def __init__(self):
+            super().__init__()
+            appends = list(self._appends)
+            add = appends[column]
+
+            def cut(value):
+                if len(self.K) == 31:
+                    raise KeyboardInterrupt
+                add(value)
+
+            appends[column] = cut
+            self._appends = tuple(appends)
+
+    monkeypatch.setattr(solver, "Trace", CutTrace)
+    with pytest.raises(KeyboardInterrupt) as err:
+        DRIVEN[method](spec.objective, spec.x_init, pol)
+    partial = err.value.partial_trace
+    assert type(partial) is CutTrace
+    assert [len(c) for c in partial.columns] == [30] * 11
+    assert partial == clean.trace[:30]
 
 
 @pytest.mark.parametrize("k", [1, 3, 30])

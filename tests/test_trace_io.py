@@ -214,8 +214,7 @@ def test_report_dict_validates_against_schema(tmp_path):
               SolverParams(termination=TerminationPolicy(eps=1e-4,
                                                          max_iterations=500)))
     doc = report_to_dict(rep, problem="rosenbrock", solver="proposed",
-                         params={"l_init": 1e-3}, trace_path="trace.csv",
-                         wall_seconds=0.25)
+                         params={"l_init": 1e-3}, trace_path="trace.csv")
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["n_oracle"] == doc["n_value"] + doc["n_grad"]
 
