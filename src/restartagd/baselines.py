@@ -42,12 +42,8 @@ class _Gd:
         self.base = Evaluated(x0, session.value(x0), session.grad(x0), session.grad_norm)
         self.best = _Certified(x0, self.base.norm)
         self.anchors = [self.base.f]
-        self.L = params.l_init
-        self.accepted = self.rejected = 0
-
-    @property
-    def final(self):
-        return self.rejected + 1, self.L, 0.0
+        self.L, self.M = params.l_init, 0.0
+        self.accepted, self.epoch = 0, 1
 
     def step(self) -> tuple:
         p, session, base = self.params, self.session, self.base
@@ -63,10 +59,10 @@ class _Gd:
             self.L = max(p.beta * trial_L, p.l_init)
             event = "Step"
         else:
-            self.rejected += 1
+            self.epoch += 1
             self.L = p.alpha * trial_L
             event = "RestartUnsuccessful"
-        return (self.accepted + self.rejected, self.rejected + 1, self.accepted,
+        return (self.accepted + self.epoch - 1, self.epoch, self.accepted,
                 session.n_oracle, base.f, base.norm, None, trial_L, 0.0, 0.0, event)
 
 
@@ -112,7 +108,7 @@ class _LL2022:
 
     def __init__(self, session: OracleSession, x0: Vector, params: LL2022Params):
         self.session, self.params = session, params
-        self.momentum = params.momentum
+        self.momentum, self.L, self.M = params.momentum, params.l_f, params.m_f
         self.x_prev = x0
         self.base = Evaluated(x0, None, session.grad(x0), session.grad_norm)
         self.best = _Certified(x0, self.base.norm)
@@ -120,10 +116,6 @@ class _LL2022:
         self.s = 0.0
         self.k = self.K = 0
         self.epoch = 1
-
-    @property
-    def final(self):
-        return self.epoch, self.params.l_f, self.params.m_f
 
     def step(self) -> tuple:
         p, session = self.params, self.session

@@ -195,6 +195,14 @@ def _whole(s: dict, key: str) -> int:
     return int(val)
 
 
+def _out_dir(s: dict, default: str) -> str:
+    """The ``out`` setting, or ``default`` when it is unset or empty."""
+    out = s["out"] or default
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path, not {out!r}")
+    return out
+
+
 def _budget(s: dict, key: str) -> Optional[int]:
     """A budget setting: a whole number, or None for no budget."""
     return None if s[key] is None else _whole(s, key)
@@ -242,7 +250,7 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
 def cmd_run(args: argparse.Namespace) -> int:
     s = _settings(RUN_DEFAULTS, args, "run")
     spec = _make_problem(s)
-    out_dir = s["out"] or os.path.join("runs", f"{spec.name}_{s['solver']}")
+    out_dir = _out_dir(s, os.path.join("runs", f"{spec.name}_{s['solver']}"))
     trace_path = os.path.join(out_dir, "trace.csv")
     try:
         report = _solve_into(out_dir, spec, s)
@@ -300,21 +308,25 @@ def cmd_grid(args: argparse.Namespace) -> int:
     for key, values in (("l_init", l_values), ("m0", m_values)):
         if not values:
             raise ConfigError(f"{key} must not be an empty list")
-    out_dir = s["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    if not all(map(math.isfinite, thresholds)):
+        raise ConfigError(f"thresholds must be finite, not {thresholds!r}")
+    out_dir = _out_dir(s, GRID_DEFAULTS["out"])
 
-    payloads = []
+    payloads = {}  # by tag, the cell's directory name
     for solver_name, solver in solvers:
         m_axis = m_values if solver.sweeps_m0 else [None]
         for l_val in l_values:
             for m_val in m_axis:
                 cell = dict(s, solver=solver_name, l_init=l_val, m0=m_val)
                 tag = f"{solver_name}_L{l_val:g}" + ("" if m_val is None else f"_M{m_val:g}")
-                payloads.append({
+                if tag in payloads:  # a repeated value, or two equal in %g
+                    raise ConfigError(f"two grid cells share the directory {tag!r}")
+                payloads[tag] = {
                     "settings": cell,
                     "cell_dir": os.path.join(out_dir, tag),
                     "thresholds": thresholds,
-                })
+                }
+    os.makedirs(out_dir, exist_ok=True)
 
     columns = ["problem", "solver", "l_init", "m0", "reason",
                "certified_grad_norm", "n_oracle"]
@@ -322,7 +334,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     columns += ["error"]
     summary_path = os.path.join(out_dir, "summary.csv")
     with contextlib.ExitStack() as stack:
-        cells = map(_grid_worker, payloads)
+        cells = map(_grid_worker, payloads.values())
         if args.parallel and args.parallel > 1:
             # Loaded only here: it pulls in ``multiprocessing``, never needed serially.
             from concurrent.futures import ProcessPoolExecutor
@@ -331,7 +343,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             # Leaving drops the cells not yet started, so a Ctrl-C (or any
             # error) waits only for those running; a finished grid has none.
             stack.callback(pool.shutdown, cancel_futures=True)
-            cells = pool.map(_grid_worker, payloads)  # in payload order
+            cells = pool.map(_grid_worker, payloads.values())  # in payload order
         fh = stack.enter_context(open(summary_path, "w", newline="", encoding="utf-8"))
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

@@ -54,8 +54,8 @@ def rosenbrock() -> Objective:
 
 def quadratic(d: int, lam: float = 1.0) -> Objective:
     """Isotropic quadratic f(x) = (lam/2) ||x||^2 with curvature ``lam`` > 0."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, not {lam!r}")
 
     def value(v: Vector) -> float:
         return 0.5 * lam * float(v @ v)
@@ -316,7 +316,7 @@ def make_problem(name: str, seed: int = 0, dim: Optional[int] = None,
                     f"movielens needs a data path: pass one or set {DATA_ENV_VAR}"
                 )
             data_path = os.path.join(root, "u.data")
-        inst = load_movielens_100k(data_path)
+        inst = load_movielens_100k(os.fspath(data_path))  # an int would open a descriptor
     else:
         raise ValueError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}")
     return ProblemSpec(name, matrix_completion(inst, r), completion_init(inst, r, seed + 1))

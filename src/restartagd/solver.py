@@ -23,11 +23,13 @@ clock, the counted :class:`OracleSession`, the stop checks, the partial trace
 of an :class:`OracleError`, the :class:`RunReport` and its certified path
 (``certified``: the call count at each fall of the certified norm).  A method
 is a step object built as ``method(session, x0, params)``, which makes the
-first evaluations; ``step()`` returns one iteration's trace row, a tuple in
-``TRACE_COLUMNS`` order ending in its event (``Terminated`` ends the run as
-``EpsReached``), ``base`` is the next step's base point as an
-:class:`Evaluated` record, ``best`` the best evaluated gradient with its
-point, ``anchors`` the anchor values and ``final`` the final ``(epochs, L, M)``.
+first evaluations and holds the run's state; ``step()`` returns one
+iteration's trace row, a tuple in ``TRACE_COLUMNS`` order ending in its event
+(``Terminated`` ends the run as ``EpsReached``), ``base`` is the next step's
+base point as an :class:`Evaluated` record, ``best`` the best evaluated
+gradient with its point, ``anchors`` the anchor values, and ``epoch``, ``L``
+and ``M`` the current epoch number and estimates, which the report takes
+as its final ones.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -130,7 +132,7 @@ class Evaluated:
     The solvers pass the session's ``grad_norm``, read right after the
     ``grad`` call that returned ``g``, so each fresh gradient is normed once;
     without it the norm is formed here by the same helper.  Never mutated,
-    so several fields of the state may hold the same record."""
+    so several fields of a step object may hold the same record."""
 
     __slots__ = ("x", "f", "g", "norm")
 
@@ -140,64 +142,26 @@ class Evaluated:
         self.norm = l2_norm(g) if norm is None else norm
 
 
-@dataclass
-class EpochState:
-    """Mutable state of one run: the current epoch's evaluated points plus
-    the run-wide counters.  ``anchor`` is the epoch's x_0, ``prev`` and
-    ``cur`` are x_{k-1} and x_k, ``y`` is y_k.  ``y_bar`` is the averaged
-    point for the *upcoming* inner index, i.e. after iteration k it holds
-    the average of y_0..y_k, whose normalizer is Z_{k+1} = (k+2)/2."""
-
-    k: int
-    K: int
-    epoch: int
-    L: float
-    M: float
-    anchor: Evaluated
-    prev: Evaluated
-    cur: Evaluated
-    y: Evaluated
-    s: float = 0.0
-    s_comp: float = 0.0
-    y_bar: Vector = None  # type: ignore[assignment]
-
-
 def _fold_average_exact(k: int, y_bar: Vector, y: Vector) -> Vector:
     """Fold ``y`` into the running average with momentum weight th = k/(k+1).
     Since th*Z_k = k/2 exactly, the new normalizer Z_{k+1} = (k+2)/2 is exact."""
     return (2.0 * y + k * y_bar) / (k + 2.0)
 
 
-def new_state(x0: Vector, f0: float, g0: Vector, l_init: float, m0: float,
-              norm0: Optional[float] = None) -> EpochState:
-    start = Evaluated(x0, f0, g0, norm0)
-    return EpochState(k=0, K=0, epoch=1, L=l_init, M=m0,
-                      anchor=start, prev=start, cur=start, y=start, y_bar=x0)
-
-
-def _begin_epoch(state: EpochState, start: Evaluated) -> None:
-    state.k = 0
-    state.epoch += 1
-    state.anchor = state.prev = state.cur = state.y = start
-    state.s = 0.0
-    state.s_comp = 0.0
-    state.y_bar = start.x
-
-
-def descent_condition_holds(state: EpochState) -> bool:
+def descent_condition_holds(state: _Proposed) -> bool:
     """Guaranteed-decrease test against the epoch anchor; equality counts as
     holding."""
     bound = state.anchor.f - state.L * state.s / (2.0 * (state.k + 1.0))
     return state.cur.f <= bound
 
 
-def restart2_triggered(state: EpochState) -> bool:
+def restart2_triggered(state: _Proposed) -> bool:
     """Progress test (k+1)^5 M^2 S_k > L^2 ending a successful epoch."""
     k1 = state.k + 1.0
     return (k1 ** 5) * state.M * state.M * state.s > state.L * state.L
 
 
-def update_m(state: EpochState, dx2: float,
+def update_m(state: _Proposed, dx2: float,
              grad_ybar_norm: Optional[float] = None) -> float:
     """Raise M to cover the measured third-order ratios at the newest iterate
     pair: the trapezoid gap between x_k and y_k, the momentum interpolation
@@ -284,102 +248,99 @@ class _Certified:
             self.norm = norm
 
 
-def _kahan_add(state: EpochState, term: float) -> None:
-    y = term - state.s_comp
-    t = state.s + y
-    state.s_comp = (t - state.s) - y
-    state.s = t
-
-
-def agd_step(state: EpochState, session: OracleSession, params: SolverParams,
-             best: _Certified) -> tuple:
-    """Run one accelerated iteration, update M and the running average, then
-    apply the descent test and the progress test, in that order.  Returns
-    the iteration's trace row, whose event names the outcome."""
-    pol = params.termination
-    state.k += 1
-    state.K += 1
-    k = state.k
-    th = k / (k + 1.0)
-    step_L = state.L
-
-    x_new = state.y.x - (1.0 / step_L) * state.y.g
-    dx = x_new - state.cur.x
-    dx2 = float(dx.dot(dx))
-    y_new = x_new + th * dx
-
-    state.prev = state.cur
-    state.cur = cur = Evaluated(x_new, session.value(x_new), session.grad(x_new),
-                                session.grad_norm)
-    state.y = y = Evaluated(y_new, session.value(y_new), session.grad(y_new),
-                            session.grad_norm)
-    _kahan_add(state, dx2)
-    monitor = min(cur.norm, y.norm)
-
-    ybar_k = state.y_bar  # average of y_0..y_{k-1}: the certifiable point
-    ybar: Optional[Evaluated] = None
-    if params.m_variant == M_THEORETICAL:
-        ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
-    state.M = update_m(state, dx2, None if ybar is None else ybar.norm)
-
-    if descent_condition_holds(state):
-        kind = "RestartSuccessful" if restart2_triggered(state) else "Step"
-    else:
-        kind = "RestartUnsuccessful"
-    if kind == "Step":  # a restart's new epoch starts its own average
-        state.y_bar = _fold_average_exact(k, ybar_k, y_new)
-
-    if ybar is None and (pol.certify_mode == CERTIFY_EVERY_ITER or kind != "Step"
-                         or (pol.eps is not None and monitor <= pol.eps)):
-        ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
-    if ybar is not None:
-        best.consider(ybar_k, ybar.norm)
-
-    if pol.certify_mode == CERTIFY_ON_CANDIDATE:
-        best.consider(x_new, cur.norm)
-        best.consider(y_new, y.norm)
-
-    if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
-        kind = "Terminated"
-
-    row = (state.K, state.epoch, k, session.n_oracle, cur.f, monitor,
-           None if ybar is None else ybar.norm, step_L, state.M, state.s, kind)
-
-    # A failed descent test re-anchors at x_{k-1} and raises L; a met
-    # progress test re-anchors at x_k and lowers L.  M survives both.
-    if kind == "RestartUnsuccessful":
-        state.L *= params.alpha
-        _begin_epoch(state, state.prev)
-    elif kind == "RestartSuccessful":
-        state.L *= params.beta
-        _begin_epoch(state, state.cur)
-
-    return row
-
-
 class _Proposed:
-    """The adaptive method as a step object; ``state`` is its EpochState."""
+    """The adaptive method as a step object, which holds the run's state:
+    the current epoch's evaluated points plus the run-wide counters ``K``,
+    ``epoch``, ``L`` and ``M``.  ``anchor`` is the epoch's x_0, ``prev`` and
+    ``cur`` are x_{k-1} and x_k, ``y`` is y_k (the ``base`` of the next
+    step).  ``y_bar`` is the averaged point for the *upcoming* inner index,
+    i.e. after iteration k it holds the average of y_0..y_k, whose
+    normalizer is Z_{k+1} = (k+2)/2.  ``s`` is S_k, summed with the
+    compensation ``s_comp``."""
 
     def __init__(self, session: OracleSession, x0: Vector, params: SolverParams):
-        f0 = session.value(x0)
-        g0 = session.grad(x0)
         self.session, self.params = session, params
-        self.state = new_state(x0, f0, g0, params.l_init, params.m0, session.grad_norm)
-        self.best = _Certified(x0, self.state.anchor.norm)
-        self.anchors = [f0]
+        start = Evaluated(x0, session.value(x0), session.grad(x0), session.grad_norm)
+        self.best = _Certified(x0, start.norm)
+        self.anchors: List[float] = []
+        self.K, self.epoch, self.L, self.M = 0, 0, params.l_init, params.m0
+        self._begin_epoch(start)
 
     @property
     def base(self) -> Evaluated:
-        return self.state.y
+        return self.y
 
-    @property
-    def final(self):
-        return self.state.epoch, self.state.L, self.state.M
+    def _begin_epoch(self, start: Evaluated) -> None:
+        self.k = 0
+        self.epoch += 1
+        self.anchor = self.prev = self.cur = self.y = start
+        self.s = self.s_comp = 0.0
+        self.y_bar = start.x
+        self.anchors.append(start.f)
 
     def step(self) -> tuple:
-        row = agd_step(self.state, self.session, self.params, self.best)
-        if row[-1] in ("RestartUnsuccessful", "RestartSuccessful"):
-            self.anchors.append(self.state.anchor.f)
+        """Run one accelerated iteration, update M and the running average,
+        then apply the descent test and the progress test, in that order.
+        Returns the iteration's trace row, whose event names the outcome."""
+        session, params, pol = self.session, self.params, self.params.termination
+        self.k = k = self.k + 1
+        self.K += 1
+        th = k / (k + 1.0)
+        step_L = self.L
+
+        x_new = self.y.x - (1.0 / step_L) * self.y.g
+        dx = x_new - self.cur.x
+        dx2 = float(dx.dot(dx))
+        y_new = x_new + th * dx
+
+        self.prev = self.cur
+        self.cur = cur = Evaluated(x_new, session.value(x_new), session.grad(x_new),
+                                   session.grad_norm)
+        self.y = y = Evaluated(y_new, session.value(y_new), session.grad(y_new),
+                               session.grad_norm)
+        term = dx2 - self.s_comp  # compensated S_k += dx2
+        s = self.s + term
+        self.s_comp, self.s = (s - self.s) - term, s
+        monitor = min(cur.norm, y.norm)
+
+        ybar_k = self.y_bar  # average of y_0..y_{k-1}: the certifiable point
+        ybar: Optional[Evaluated] = None
+        if params.m_variant == M_THEORETICAL:
+            ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
+        self.M = update_m(self, dx2, None if ybar is None else ybar.norm)
+
+        if descent_condition_holds(self):
+            kind = "RestartSuccessful" if restart2_triggered(self) else "Step"
+        else:
+            kind = "RestartUnsuccessful"
+        if kind == "Step":  # a restart's new epoch starts its own average
+            self.y_bar = _fold_average_exact(k, ybar_k, y_new)
+
+        best = self.best
+        if ybar is None and (pol.certify_mode == CERTIFY_EVERY_ITER or kind != "Step"
+                             or (pol.eps is not None and monitor <= pol.eps)):
+            ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
+        if ybar is not None:
+            best.consider(ybar_k, ybar.norm)
+
+        if pol.certify_mode == CERTIFY_ON_CANDIDATE:
+            best.consider(x_new, cur.norm)
+            best.consider(y_new, y.norm)
+
+        if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
+            kind = "Terminated"
+
+        row = (self.K, self.epoch, k, session.n_oracle, cur.f, monitor,
+               None if ybar is None else ybar.norm, step_L, self.M, s, kind)
+
+        # A failed descent test re-anchors at x_{k-1} and raises L; a met
+        # progress test re-anchors at x_k and lowers L.  M survives both.
+        if kind == "RestartUnsuccessful":
+            self.L *= params.alpha
+            self._begin_epoch(self.prev)
+        elif kind == "RestartSuccessful":
+            self.L *= params.beta
+            self._begin_epoch(cur)
         return row
 
 
@@ -444,12 +405,11 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
         calls.append(session.n_oracle)
         norms.append(best.norm)
 
-    epochs, final_L, final_M = m.final
     return RunReport(
         solution=best.point, certified_grad_norm=best.norm,
-        total_K=len(trace), total_epochs=epochs,
+        total_K=len(trace), total_epochs=m.epoch,
         n_value=session.n_value, n_grad=session.n_grad,
-        reason=reason, final_L=final_L, final_M=final_M,
+        reason=reason, final_L=m.L, final_M=m.M,
         trace=trace, anchor_values=m.anchors, certified=(calls, norms),
     )
 
@@ -468,7 +428,9 @@ def run(obj: Objective, x_init, params: SolverParams,
     per-iteration monitor points.
 
     ``observer(method, record)`` is called after every iteration, with
-    ``method.state`` the run's :class:`EpochState`.  Oracle errors propagate
-    with the trace so far attached as ``exc.partial_trace``.
+    ``method`` the run's step object: its ``L``, ``M``, ``k``, ``K``,
+    ``epoch``, ``s`` and the :class:`Evaluated` points ``anchor``, ``prev``,
+    ``cur`` and ``y``.  Oracle errors propagate with the trace so far
+    attached as ``exc.partial_trace``.
     """
     return drive(obj, x_init, params, _Proposed, observer)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import filecmp
 import json
+import math
 import os
 import warnings
 
@@ -481,6 +482,13 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("verify", "m_scale: .inf", 2),
     ("verify", "l_scale: -1", 2),
     ("verify", "m_scale: 0", 2),
+    ("run", "problem: quadratic\n  lam: .nan", 2),
+    ("run", "problem: quadratic\n  lam: .inf", 2),
+    ("verify", "lam: .nan", 2),
+    ("verify", "lam: .inf", 2),
+    ("grid", "thresholds: [.nan]", 2),
+    ("grid", "thresholds: [1e-2, .inf]", 2),
+    ("grid", "thresholds: -.inf", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"
@@ -493,6 +501,65 @@ def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, s
     else:
         with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
             assert "calls_to_0.001" in fh.readline().split(",")
+
+
+@pytest.mark.parametrize("line, tag", [
+    ("l_init: [100, 1e2]", "gd_L100"),
+    ("l_init: [1.0e-7, 1.00000001e-7]", "gd_L1e-07"),  # equal in %g
+    ("solvers: [gd, gd]", "gd_L1"),
+])
+def test_grid_cells_that_would_share_a_directory_exit_2_before_any_runs(
+        tmp_path, capsys, line, tag):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("grid:\n  solvers: [gd]\n  l_init: [1]\n  " + line + "\n" + GRID_SMALL)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"share the directory {tag!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Hostile values for every config key: each must exit with a documented code
+# (never a traceback), and a non-finite value of a numeric key must exit 2.
+_HOSTILE = (None, math.nan, math.inf, -math.inf, 0, -1, 0.5, "abc", [1], {"a": 1}, 10 ** 30)
+_NUMERIC = {"alpha", "beta", "eps", "max_oracle_calls", "max_iterations", "max_seconds",
+            "ll_eps", "seed", "dim", "lam", "rank", "fraction", "l_init", "m0",
+            "thresholds", "samples", "box", "l_scale", "m_scale"}
+# A cheap base per command, and the settings a key needs to be read at all.
+_BASE = {
+    "run": {"problem": "quadratic", "dim": 2, "max_iterations": 1, "out": "o"},
+    "grid": {"problem": "quadratic", "dim": 2, "max_iterations": 1, "out": "o",
+             "solvers": ["proposed"], "l_init": [1.0], "m0": [1.0], "thresholds": [0.1]},
+    "verify": {"problems": ["quadratic"], "samples": 1, "dim": 2},
+}
+_READ_ON = {"rank": {"problem": "matcomp_synthetic"},
+            "fraction": {"problem": "matcomp_synthetic"},
+            ("run", "ll_eps"): {"solver": "ll2022"},
+            ("grid", "ll_eps"): {"solvers": ["ll2022"]},
+            "data_path": {"problem": "movielens", "rank": 1, "data_path": "u.data"}}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, defaults in (("run", cli.RUN_DEFAULTS),
+                                             ("grid", cli.GRID_DEFAULTS),
+                                             ("verify", cli.VERIFY_DEFAULTS))
+    for key in defaults])
+def test_every_config_key_takes_any_value_without_a_traceback(
+        tmp_path, monkeypatch, capsys, command, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.data").write_text("1\t1\t5\t0\n")
+    base = dict(_BASE[command], **_READ_ON.get(key, _READ_ON.get((command, key), {})))
+    config = dict(base)
+    monkeypatch.setattr(cli, "_load_config", lambda path, section: config)
+    assert main([command, "--config", "cfg.yaml"]) == 0  # the base itself runs
+    for value in _HOSTILE:
+        if key == "samples" and value == 10 ** 30:
+            continue  # verify would draw all 10^30 samples it was asked for
+        config = dict(base, **{key: value})
+        rc = main([command, "--config", "cfg.yaml"])
+        capsys.readouterr()
+        assert rc in (0, 1, 2, 3), value
+        if key in _NUMERIC and isinstance(value, float) and not math.isfinite(value):
+            assert rc == 2, value
 
 
 def test_solves_go_through_the_module_entry_points(tmp_path, monkeypatch):

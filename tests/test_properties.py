@@ -62,8 +62,7 @@ def _potential_rhs(th_k, th_next, ell, m, h_prev, h_next, grad_sq):
 def test_potential_decreases_every_iteration():
     snaps = []
 
-    def grab(m, rec):
-        state = m.state
+    def grab(state, rec):
         snaps.append({
             "kind": rec.event, "k": rec.k, "L": rec.L, "M": rec.M,
             "f_cur": state.cur.f, "x_cur": state.cur.x.copy(),

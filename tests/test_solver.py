@@ -4,6 +4,7 @@ termination, and exact oracle accounting on short runs."""
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
 from restartagd import solver
 from restartagd.baselines import _LL2022, _Gd
 from restartagd.solver import (Evaluated, _fold_average_exact, _Proposed,
-                               agd_step, descent_condition_holds, drive,
-                               new_state, restart2_triggered, update_m)
+                               descent_condition_holds, drive,
+                               restart2_triggered, update_m)
 from reference import theta, update_average, update_m_eager
 
 
@@ -123,19 +124,21 @@ def test_solver_params_validation():
 # restart tests on hand-built states
 
 
+def _state(**fields):
+    """A bare state: the fields that ``update_m``, ``descent_condition_holds``
+    and ``restart2_triggered`` read, by default k = 0, L = 1, M = 1e-16, S = 0."""
+    return SimpleNamespace(**{"k": 0, "L": 1.0, "M": 1e-16, "s": 0.0, **fields})
+
+
 def _bare_state(f_x0=0.0, f_x_cur=0.0, x_prev=None, x_cur=None, y_cur=None,
                 **overrides):
     x = np.zeros(2)
-    st = new_state(x, 0.0, x.copy(), l_init=1.0, m0=1e-16)
 
     def point(at, f):
         return Evaluated(x if at is None else at, f, x.copy())
 
-    st.anchor, st.prev = point(None, f_x0), point(x_prev, 0.0)
-    st.cur, st.y = point(x_cur, f_x_cur), point(y_cur, 0.0)
-    for key, val in overrides.items():
-        setattr(st, key, val)
-    return st
+    return _state(anchor=point(None, f_x0), prev=point(x_prev, 0.0),
+                  cur=point(x_cur, f_x_cur), y=point(y_cur, 0.0), **overrides)
 
 
 def test_descent_boundary_equality_counts_as_holding():
@@ -186,7 +189,7 @@ _SCALES = (5e-324, 1e-310, 1e-160, 1e-8, 1.0, 1e8, 1e150, 1e300)
 
 
 def _sweep_state(rng):
-    """A random EpochState after an iteration's shift, with zero
+    """A random bare state after an iteration's shift, with zero
     displacements, subnormal and huge values mixed in, and its dx2 and
     grad_ybar_norm."""
     d = int(rng.choice((1, 2, 5)))
@@ -201,9 +204,9 @@ def _sweep_state(rng):
     x_prev = vec()
     x_cur = x_prev.copy() if shape == 0 else x_prev + vec()
     y = x_cur.copy() if shape == 1 else x_cur + vec()
-    st = new_state(x_prev, 0.0, x_prev, l_init=float(rng.choice((1e-3, 1.0, 1e4, 1e300))),
-                   m0=float(rng.choice((1e-16, 1.0, 1e20))))
-    st.prev, st.cur, st.y = point(x_prev), point(x_cur), point(y)
+    st = _state(L=float(rng.choice((1e-3, 1.0, 1e4, 1e300))),
+                M=float(rng.choice((1e-16, 1.0, 1e20))),
+                prev=point(x_prev), cur=point(x_cur), y=point(y))
     st.k = int(rng.choice((1, 2, 50)))
     st.s = float(rng.choice((0.0, 5e-324, 1.0, 1e300))) * rng.uniform(0.5, 2.0)
     dx = x_cur - x_prev
@@ -233,11 +236,10 @@ def test_update_m_bitwise_equals_the_eager_form():
 
 
 def _guard_state(xs, fs, gs, k, s, L):
-    """An EpochState with x_{k-1}, x_k, y_k at ``xs``, their values ``fs`` and
+    """A bare state with x_{k-1}, x_k, y_k at ``xs``, their values ``fs`` and
     gradients ``gs``, M = 1e-16, and its dx2."""
-    st = new_state(xs[0], 0.0, gs[0], l_init=L, m0=1e-16)
-    st.prev, st.cur, st.y = (Evaluated(x, f, g) for x, f, g in zip(xs, fs, gs))
-    st.k, st.s = k, s
+    prev, cur, y = (Evaluated(x, f, g) for x, f, g in zip(xs, fs, gs))
+    st = _state(k=k, s=s, L=L, prev=prev, cur=cur, y=y)
     dx = xs[1] - xs[0]
     return st, float(dx.dot(dx))
 
@@ -300,18 +302,17 @@ def test_first_step_from_origin_is_wild_and_restarts():
     # epoch restarts from the previous iterate with L doubled.
     spec = make_problem("rosenbrock")
     from restartagd.oracle import OracleSession
-    from restartagd.solver import _Certified
 
     session = OracleSession(spec.objective)
     x0 = np.zeros(2)
-    f0 = session.value(x0)
-    g0 = session.grad(x0)
-    st = new_state(x0, f0, g0, l_init=1e-3, m0=1e-16)
     params = SolverParams(l_init=1e-3,
                           termination=TerminationPolicy(max_iterations=10))
-    best = _Certified(x0, math.sqrt(float(g0 @ g0)))
+    st = _Proposed(session, x0, params)
+    assert (session.n_value, session.n_grad) == (1, 1)
+    g0 = spec.objective.grad_fn(x0)
+    assert st.best.norm == math.sqrt(float(g0 @ g0))
 
-    rec = TraceRecord(*agd_step(st, session, params, best))
+    rec = TraceRecord(*st.step())
     assert rec.event == "RestartUnsuccessful"
     assert rec.L == 1e-3            # the L the step actually used
     assert rec.K == 1 and rec.k == 1
@@ -527,8 +528,7 @@ def test_state_records_are_fresh_evaluations(problem, variant):
     obj = spec.objective
     events = []
 
-    def check(m, rec):
-        st = m.state
+    def check(st, rec):
         for name in ("anchor", "prev", "cur", "y"):
             point = getattr(st, name)
             g = obj.grad_fn(point.x)
@@ -537,7 +537,7 @@ def test_state_records_are_fresh_evaluations(problem, variant):
             assert point.norm == math.sqrt(float(g @ g)), name
         if rec.event != "Step":
             assert st.prev is st.anchor and st.cur is st.anchor and st.y is st.anchor
-            assert m.base is st.anchor
+            assert st.base is st.anchor
         events.append(rec.event)
 
     run(obj, spec.x_init, SolverParams(m_variant=variant, termination=TerminationPolicy(
@@ -639,6 +639,19 @@ def test_an_observer_gets_each_row_as_a_record_built_only_for_it(method, monkeyp
     assert seen == list(watched.trace) == list(plain.trace)
     types = [tuple(map(type, rec)) for rec in seen]
     assert types == [tuple(map(type, rec)) for rec in plain.trace]
+
+
+@pytest.mark.parametrize("method", sorted(DRIVEN))
+def test_the_report_takes_its_final_epoch_l_and_m_off_the_step_object(method):
+    # Each run restarts (gd: rejects a trial) within its 200 rows; ll2022,
+    # whose L_f = 3 diverges on rosenbrock, runs on cosine_sum.
+    spec = make_problem("cosine_sum", dim=4) if method == "ll2022" else make_problem("rosenbrock")
+    cls, params = STEPS[method]
+    seen = []
+    rep = drive(spec.objective, spec.x_init, params(TerminationPolicy(max_iterations=200)),
+                cls, observer=lambda m, rec: seen.append((m.epoch, m.L, m.M)))
+    assert len(seen) == rep.total_K and rep.total_epochs > 1
+    assert seen[-1] == (rep.total_epochs, rep.final_L, rep.final_M)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 40])
