@@ -14,6 +14,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .oracle import Objective, Vector
+from .solver import _EPS, _NOISE_GUARD
 
 # Potential-function convention for the anchor index: the momentum weight
 # "before the first step" is the square of the first real weight, (1/2)^2.
@@ -40,13 +41,12 @@ class InequalityReport:
                 f"slack={self.slack:.3e} ({verdict})")
 
 
-def _tol(rhs: float) -> float:
-    return 1e-9 * (1.0 + abs(rhs))
-
-
-def _report(name: str, lhs: float, rhs: float, witness) -> InequalityReport:
+def _report(name: str, lhs: float, rhs: float, witness, operands: float = 0.0) -> InequalityReport:
+    """``operands`` sums the magnitudes ``lhs`` is computed from; the
+    tolerance forgives ``lhs`` their rounding, bounded as ``update_m`` bounds
+    its noise floors, on top of a relative ``1e-9`` of ``rhs``."""
     slack = rhs - lhs
-    tol = _tol(rhs)
+    tol = 1e-9 * (1.0 + abs(rhs)) + _NOISE_GUARD * _EPS * operands
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=slack,
                             holds=slack >= -tol, tol=tol, witness=tuple(witness))
 
@@ -81,15 +81,17 @@ def check_jensen_gradient(obj: Objective, points: Sequence[Vector],
     pts = [np.asarray(z, dtype=np.float64) for z in points]
     mix = sum(wi * z for wi, z in zip(w, pts))
     grad_mix = np.asarray(obj.grad_fn(mix))
-    avg_grad = sum(wi * np.asarray(obj.grad_fn(z)) for wi, z in zip(w, pts))
+    grads = [np.asarray(obj.grad_fn(z)) for z in pts]
+    avg_grad = sum(wi * g for wi, g in zip(w, grads))
     lhs = float(np.linalg.norm(grad_mix - avg_grad))
+    operands = float(np.linalg.norm(grad_mix) + w @ np.linalg.norm(grads, axis=1))
     spread = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             d = pts[i] - pts[j]
             spread += float(w[i] * w[j]) * float(d @ d)
     rhs = 0.5 * M * spread
-    return _report("jensen_gradient", lhs, rhs, pts)
+    return _report("jensen_gradient", lhs, rhs, pts, operands)
 
 
 def check_trapezoid(obj: Objective, x: Vector, y: Vector, M: float) -> InequalityReport:
@@ -97,10 +99,12 @@ def check_trapezoid(obj: Objective, x: Vector, y: Vector, M: float) -> Inequalit
     f(x) - f(y) - (1/2) <grad f(x) + grad f(y), x - y>  <=  (M/12) ||x - y||^3."""
     d = x - y
     gsum = np.asarray(obj.grad_fn(x)) + np.asarray(obj.grad_fn(y))
-    lhs = obj.value_fn(x) - obj.value_fn(y) - 0.5 * float(gsum @ d)
+    fx, fy = obj.value_fn(x), obj.value_fn(y)
+    lhs = fx - fy - 0.5 * float(gsum @ d)
     h2 = float(d @ d)
     rhs = (M / 12.0) * h2 * math.sqrt(h2)
-    return _report("trapezoid", lhs, rhs, (x, y))
+    operands = abs(fx) + abs(fy) + 0.5 * math.sqrt(float(gsum @ gsum) * h2)
+    return _report("trapezoid", lhs, rhs, (x, y), operands)
 
 
 def estimate_M_bruteforce(obj: Objective, region: Tuple[Vector, Vector],

@@ -7,8 +7,10 @@ long traces are stride-downsampled so files stay small.
 from __future__ import annotations
 
 import math
-from itertools import compress
+import sys
 from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .trace import TraceRecord, as_trace
 
@@ -24,17 +26,6 @@ _MAX_POINTS = 2000
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _downsample(xs: List[float], ys: List[float]):
-    n = len(xs)
-    if n <= _MAX_POINTS:
-        return xs, ys
-    stride = -(-n // _MAX_POINTS)
-    keep = list(range(0, n, stride))
-    if keep[-1] != n - 1:
-        keep.append(n - 1)
-    return [xs[i] for i in keep], [ys[i] for i in keep]
 
 
 def _nice_step(span: float, target: int = 5) -> float:
@@ -53,7 +44,7 @@ def _linear_ticks(lo: float, hi: float) -> List[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-12 * step:
+    while t <= min(hi + 1e-12 * step, sys.float_info.max):   # t ends finite
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks or [lo, hi]
@@ -72,27 +63,34 @@ def _fmt_num(v: float) -> str:
 
 def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
            y_label: str, x_label: str) -> None:
-    drawn = []  # (xs, ys, color) of each series with a point to draw
-    for _label, xs, ys, color in series:
-        keep = [math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
-                for x, y in zip(xs, ys)]
-        xs = list(compress(xs, keep))
-        if xs:
-            drawn.append((xs, list(compress(ys, keep)), color))
-
-    if drawn:
-        # min and max return the first of equal values, so the limits over
-        # the series' limits are those over all the points in series order.
-        x_lo = min(min(xs) for xs, _ys, _color in drawn)
-        x_hi = max(max(xs) for xs, _ys, _color in drawn)
+    """Draw one panel of ``series``, each ``(x, y, color)`` with ``x`` and
+    ``y`` NumPy arrays (views of a trace's columns, read and never kept)."""
+    drawn = []  # (xs, ys, color): the points drawn of each series with one
+    limits = []  # (x lo, x hi, y lo, y hi) of each of those series
+    for x, y, color in series:
+        keep = np.isfinite(y) & (y > 0) if logy else np.isfinite(y)
+        x, y = x[keep], y[keep]
+        if n := len(x):
+            limits.append((float(x.min()), float(x.max()), float(y.min()), float(y.max())))
+            # Every stride-th point and the last, at most _MAX_POINTS + 1.
+            pick = np.append(np.arange(0, n - 1, -(-n // _MAX_POINTS)), n - 1)
+            drawn.append((x[pick].tolist(), y[pick].tolist(), color))
+    scale = 1.0
+    if limits:
+        x_los, x_his, los, his = zip(*limits)
+        x_lo, x_hi, lo, hi = min(x_los), max(x_his), min(los), max(his)
         xlim = (x_lo, x_hi if x_hi > x_lo else x_lo + 1)
-        lo = min(min(ys) for _xs, ys, _color in drawn)
-        hi = max(max(ys) for _xs, ys, _color in drawn)
         if logy:
             lo, hi = math.log10(lo), math.log10(hi)
         if hi <= lo:
             lo, hi = lo - 1.0, hi + 1.0
         pad = 0.04 * (hi - lo)
+        if not math.isfinite(hi + pad - (lo - pad)):
+            # Finite values whose padded span overflows: the y axis counts
+            # in quarters of them, which keeps every limit and span finite.
+            scale = 0.25
+            lo, hi = lo * scale, hi * scale
+            pad = 0.04 * (hi - lo)
         ylim = (lo - pad, hi + pad)
     else:
         xlim, ylim = (0.0, 1.0), (0.0, 1.0)
@@ -103,8 +101,7 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
         frac = 0.0 if x_hi == x_lo else (x - x_lo) / (x_hi - x_lo)
         return x0 + frac * _PANEL_W
 
-    def py(y: float) -> float:
-        v = math.log10(y) if logy else y
+    def py(v: float) -> float:  # y axis coordinate to SVG coordinates
         frac = 0.0 if y_hi == y_lo else (v - y_lo) / (y_hi - y_lo)
         return y0 + _PANEL_H - frac * _PANEL_H
 
@@ -118,14 +115,16 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
                    f'y2="{y0 + _PANEL_H + 5}" stroke="#444"/>')
         out.append(f'<text x="{tx:.1f}" y="{y0 + _PANEL_H + 18}" text-anchor="middle" '
                    f'class="tick">{_fmt_num(t)}</text>')
-    # y ticks
+    # y ticks, each at its axis coordinate: a decade sits where log10 puts
+    # 10.0 ** d, or at d itself where that power overflows or underflows.
     if logy:
         d0, d1 = math.ceil(ylim[0]), math.floor(ylim[1])
         stride = max(1, (d1 - d0) // 8) if d1 > d0 else 1
         decades = list(range(d0, d1 + 1, stride)) or [d0]
-        y_ticks = [(10.0 ** d, f"1e{d}") for d in decades]
+        y_ticks = [(math.log10(10.0 ** d) if -324 < d < 309 else d, f"1e{d}") for d in decades]
     else:
-        y_ticks = [(t, _fmt_num(t)) for t in _linear_ticks(*ylim)]
+        y_ticks = [(t, _fmt_num(t / scale)) for t in _linear_ticks(*ylim)
+                   if math.isfinite(t / scale)]
     for t, text in y_ticks:
         ty = py(t)
         out.append(f'<line x1="{x0 - 5}" y1="{ty:.1f}" x2="{x0}" y2="{ty:.1f}" stroke="#444"/>')
@@ -133,8 +132,8 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
                    f'class="tick">{text}</text>')
 
     for xs, ys, color in drawn:
-        xs, ys = _downsample(xs, ys)
-        pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
+        yv = map(math.log10, ys) if logy else (y * scale for y in ys)
+        pts = " ".join(f"{px(x):.1f},{py(v):.1f}" for x, v in zip(xs, yv))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{pts}"/>')
 
@@ -148,7 +147,10 @@ def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
 def render_traces_svg(series: Sequence[Tuple[str, Iterable[TraceRecord]]],
                       title: str = "") -> str:
     """Build the SVG document for one or more labeled traces, each a
-    :class:`~restartagd.trace.Trace` or any iterable of records."""
+    :class:`~restartagd.trace.Trace` or any iterable of records.  The panels
+    read the ``n_oracle``, ``f_x`` and ``grad_norm_monitor`` columns through
+    NumPy views, dropped before this returns; only the drawn points, at most
+    ``_MAX_POINTS + 1`` a series, become Python floats."""
     width = _MARGIN_L + _PANEL_W + _MARGIN_R
     height = _MARGIN_T + 2 * (_PANEL_H + _MARGIN_B) + 26
     out: List[str] = []
@@ -162,27 +164,22 @@ def render_traces_svg(series: Sequence[Tuple[str, Iterable[TraceRecord]]],
         out.append(f'<text x="{width / 2}" y="20" text-anchor="middle" class="title">'
                    f'{_escape(title)}</text>')
 
-    colored = []
-    for i, (label, recs) in enumerate(series):
-        trace = as_trace(recs)
-        xs = list(map(float, trace.n_oracle))
-        colored.append((label, trace, xs, PALETTE[i % len(PALETTE)]))
+    colored = [(label, as_trace(recs), PALETTE[i % len(PALETTE)])
+               for i, (label, recs) in enumerate(series)]
 
-    top = _MARGIN_T
-    fx_series = [(label, xs, trace.f_x, color) for label, trace, xs, color in colored]
-    _panel(out, _MARGIN_L, top, fx_series, logy=False,
+    def views(column: str):
+        return [(np.frombuffer(trace.n_oracle, np.int64), np.frombuffer(getattr(trace, column)),
+                 color) for _label, trace, color in colored]
+
+    _panel(out, _MARGIN_L, _MARGIN_T, views("f_x"), logy=False,
            y_label="objective value", x_label="oracle calls")
-
-    top2 = _MARGIN_T + _PANEL_H + _MARGIN_B + 26
-    g_series = [(label, xs, trace.grad_norm_monitor, color)
-                for label, trace, xs, color in colored]
-    _panel(out, _MARGIN_L, top2, g_series, logy=True,
-           y_label="gradient norm", x_label="oracle calls")
+    _panel(out, _MARGIN_L, _MARGIN_T + _PANEL_H + _MARGIN_B + 26, views("grad_norm_monitor"),
+           logy=True, y_label="gradient norm", x_label="oracle calls")
 
     # legend across the top, under the title
     lx = _MARGIN_L
     ly = _MARGIN_T - 8
-    for label, _trace, _xs, color in colored:
+    for label, _trace, color in colored:
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 27}" y="{ly + 4}" class="legend">{_escape(label)}</text>')

@@ -109,6 +109,16 @@ CLI_CASES = {
     # Overflows to a non-finite gradient: exit 3 with a partial trace.
     "ll2022-overflow": [["run", "--problem", "rosenbrock", "--solver", "ll2022",
                          "--l-init", "0.001", "--out", "out"]],
+    # That partial trace, whose last row holds an infinite gradient norm and
+    # a huge objective value, plotted together with a gd trace.
+    "plot-partial": [["run", "--problem", "rosenbrock", "--solver", "ll2022",
+                      "--l-init", "0.001", "--out", "ll"],
+                     ["run", "--problem", "rosenbrock", "--solver", "gd", "--l-init", "100",
+                      "--max-oracle-calls", "2000", "--out", "gd"],
+                     ["plot", "ll/trace.csv", "gd/trace.csv", "--out", "fig/two.svg"]],
+    # ll2022 records no anchors: its report.json holds an empty list.
+    "ll2022-no-anchors": [["run", "--problem", "quadratic", "--solver", "ll2022",
+                           "--l-init", "4", "--out", "out"]],
 }
 
 

@@ -11,7 +11,8 @@ import warnings
 import jsonschema
 import pytest
 
-from restartagd import REPORT_SCHEMA, baselines, cli, read_trace_csv, solver
+from restartagd import (REPORT_SCHEMA, baselines, cli, read_trace_csv, solver,
+                        write_trace_csv)
 from restartagd.cli import main
 
 
@@ -649,6 +650,28 @@ def test_plot_rejects_a_trace_row_with_an_unknown_event(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "t.svg")
 
 
+# Finite values whose span, padded span or decade ticks overflow a float.
+EXTREMES = {
+    "f_x spans both signs' limits": ((1.5e308, -1.5e308, 0.0), (1.0, 2.0, 3.0)),
+    "f_x next to the largest float": ((1.7e308, 1.7976931348623157e308), (1.0, 2.0)),
+    "grad norms from subnormal to huge": ((1.0, 2.0), (5e-324, 1e300)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREMES))
+def test_plot_draws_extreme_finite_values(tmp_path, case):
+    f_x, monitor = EXTREMES[case]
+    path = tmp_path / "run" / "trace.csv"
+    path.parent.mkdir()
+    write_trace_csv(str(path), [(k + 1, 1, k + 1, 2 * k, f, g, None, 1.0, 0.0, 0.0, "Step")
+                                for k, (f, g) in enumerate(zip(f_x, monitor))])
+    svg = tmp_path / "t.svg"
+    assert main(["plot", str(path), "--out", str(svg)]) == 0
+    text = svg.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    assert "nan" not in text and "inf" not in text     # every coordinate finite
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -682,6 +705,21 @@ def test_verify_catches_understated_curvature(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "FAIL" in shown
     assert "witness" in shown
+
+
+@pytest.mark.parametrize("problem, setting, rc", [
+    # The known M of a quadratic is 0, so both sides of the trapezoid and
+    # Jensen checks are rounding: it grows with lam and is forgiven.
+    ("quadratic", "lam: 1.0e12", 0),
+    ("quadratic", "lam: 1.0e30", 0),
+    ("cosine_sum", "m_scale: 0.01", 1),
+])
+def test_verify_forgives_the_rounding_of_the_operands_only(tmp_path, capsys, problem, setting, rc):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"verify:\n  problems: [{problem}]\n  samples: 200\n  {setting}\n")
+    assert main(["verify", "--config", str(cfg)]) == rc
+    shown = capsys.readouterr().out
+    assert ("FAIL trapezoid" in shown) == ("FAIL jensen_gradient" in shown) == (rc == 1)
 
 
 def test_verify_rejects_bad_sample_count():

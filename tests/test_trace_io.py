@@ -5,6 +5,8 @@ import dataclasses
 import gc
 import io
 import json
+import math
+import random
 import re
 import struct
 import tracemalloc
@@ -19,7 +21,9 @@ from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, Objective,
                         TraceRecord, gd_run, ll2022_run, make_problem,
                         read_trace_csv, report_to_dict, run,
                         write_report_json, write_trace_csv)
-from restartagd.trace import EVENTS, TRACE_COLUMNS, TraceWriter
+from restartagd.trace import _BLOCK, EVENTS, TRACE_COLUMNS, TraceWriter
+
+from reference import RowwiseTraceWriter
 
 
 def sample_records():
@@ -360,3 +364,151 @@ def test_trace_columns_keep_types_shared_objects_and_float_bits(tmp_path):
     assert bits == [struct.pack("<d", v) for v in (odd_nan, -0.0, odd_nan, -0.0)]
     assert [struct.pack("<d", r.f_x) for r in rep.trace] == bits
     assert type(rep.trace.L[0]) is int and rep.trace.grad_norm_ybar == [None] * 4
+
+
+# The block writer against the row-at-a-time writer it replaced: the same
+# bytes for any rows, however they are handed over.
+
+def _csv(writer_class, chunks):
+    buf = io.StringIO(newline="")
+    writer = writer_class(buf)
+    for chunk in chunks:
+        writer.add_rows(chunk)
+    writer.close()
+    return buf.getvalue()
+
+
+def _split(rows, rng):
+    """``rows`` cut into chunks of random sizes, some of a single row."""
+    chunks, i = [], 0
+    while i < len(rows):
+        size = rng.choice((1, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK))
+        chunks.append(rows[i:i + size])
+        i += size
+    return chunks
+
+
+def _assert_written_alike(rows, rng):
+    """Every way of handing ``rows`` to the block writer gives the reference
+    bytes: a Trace, tuples, records, a generator, one row a call, chunks."""
+    want = _csv(RowwiseTraceWriter, [rows])
+    records = [TraceRecord(*row) for row in rows]
+    for chunks in ([Trace(rows)], [rows], [records], [iter(rows)],
+                   [[row] for row in rows], _split(rows, rng),
+                   [Trace(chunk) for chunk in _split(records, rng)]):
+        assert _csv(TraceWriter, chunks) == want
+
+
+def _nan(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0000 | payload))[0]
+
+
+# Float values a column may hold: repeats, both zeros, NaNs of other bits,
+# infinities, a subnormal, the largest float, an int and a float equal to it.
+POOL = (0.0, -0.0, 1.5, 0.1 + 0.2, float("nan"), _nan(0x123), -float("nan"),
+        float("inf"), -float("inf"), 5e-324, 1.7976931348623157e308, 100, 100.0, 1e-16)
+
+
+def _random_rows(rng, n):
+    """``n`` rows whose float columns mostly repeat the row before; the
+    ybar column is missing in every row, in some rows, or in none."""
+    ybar_missing = rng.choice((0.0, 0.8, 1.0))
+    rows, last = [], [0.0] * 6
+    for i in range(n):
+        floats = [v if rng.random() < 0.7 else rng.choice(POOL) for v in last]
+        if rng.random() < ybar_missing:
+            floats[2] = None
+        last = floats
+        rows.append((i + 1, 1 + i // 50, 1 + i % 50, 3 * i, *floats,
+                     rng.choice(sorted(EVENTS))))
+    return rows
+
+
+LENGTHS = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 3000)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_block_writer_matches_the_rowwise_reference_on_random_rows(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        _assert_written_alike(_random_rows(rng, n), rng)
+
+
+@pytest.mark.parametrize("n", (_BLOCK - 1, _BLOCK, _BLOCK + 1))
+def test_block_writer_matches_the_rowwise_reference_on_the_edge_tables(n):
+    rng = random.Random(n)
+    for table in (_edge_records(), _repeat_records()):
+        rows = [tuple(rec) for rec in table] * (n // len(table) + 1)
+        _assert_written_alike(rows[:n], rng)
+
+
+def test_a_missing_ybar_carries_over_a_block_boundary():
+    # A block ending on a missing ybar, then blocks opening with NaN of the
+    # same bits NumPy gives a missing value, with a number, and missing again.
+    nan = float("nan")
+    rows = [(i, 1, i, i, 1.0, 1.0, None, 1.0, 0.0, 0.0, "Step") for i in range(_BLOCK)]
+    rows += [(i, 1, i, i, 1.0, 1.0, nan, 1.0, 0.0, 0.0, "Step") for i in range(_BLOCK)]
+    rows += [(i, 1, i, i, 1.0, 1.0, v, 1.0, 0.0, 0.0, "Step") for i, v in
+             enumerate([0.5] * _BLOCK + [None] * _BLOCK)]
+    _assert_written_alike(rows, random.Random(0))
+
+
+def test_rows_added_one_call_at_a_time_across_a_block_boundary(tmp_path):
+    rows = [tuple(rec) for rec in _repeat_records()] * (_BLOCK // 8 + 2)
+    buf = io.StringIO(newline="")
+    writer = TraceWriter(buf)
+    for row in rows:
+        writer.add_rows([row])
+    writer.close()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), rows)
+    assert buf.getvalue().encode("utf-8") == path.read_bytes()
+    assert path.read_bytes() == _reference_csv([TraceRecord(*r) for r in rows]).encode("utf-8")
+
+
+def test_writing_a_trace_leaves_its_columns_free_to_grow(tmp_path):
+    # An array whose buffer a NumPy view still holds cannot grow.
+    trace = Trace(_random_rows(random.Random(1), _BLOCK + 1))
+    write_trace_csv(str(tmp_path / "trace.csv"), trace)
+    trace.append(trace[0])
+    assert len(trace) == _BLOCK + 2
+
+
+@pytest.mark.parametrize("n", (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1))
+def test_report_json_matches_the_json_module_byte_for_byte(tmp_path, n):
+    rng = random.Random(n)
+    anchors = [rng.choice(POOL[:10]) if rng.random() < 0.1
+               else rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(n)]
+    doc = {"anchor_values": anchors, "problem": 'a "b"\n  "anchor_values": []',
+           "params": {"anchor_values": [1.0, 2.0], "path": "x\ny"},
+           "solution": [1.5, -0.0], "final_L": float("inf")}
+    out = tmp_path / "report.json"
+    write_report_json(str(out), doc)
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_trace_with_nan_equals_itself_and_its_read_back(tmp_path):
+    nan = float("nan")
+    rows = [(1, 1, 1, 6, nan, 1.0, None, 1.0, 1.0, 0.0, "Step"),
+            (2, 1, 2, 8, 0.5, nan, 0.25, 100, 1.0, 1.5, "Step"),
+            (3, 2, 1, 9, -0.0, 2.0, nan, 1.0, nan, nan, "Terminated")]
+    t = Trace(rows)
+    assert t == t and t == Trace(rows) and Trace(rows) == t
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, t)
+    back = read_trace_csv(path)
+    assert back == t and t == back
+    # A NaN equals only a NaN, and the columns must have the same length.
+    for column in (4, 5, 6, 8, 9):
+        changed = [list(row) for row in rows]
+        for row in changed:
+            if row[column] != row[column]:
+                row[column] = 1.0
+        assert changed != [list(row) for row in rows] and Trace(map(tuple, changed)) != t
+    assert Trace(rows[:2]) != t and t != Trace(rows[:2])
+    # ll2022's diagnostic f_x is whatever value_fn returned, NaN included.
+    obj = Objective(dim=2, value_fn=lambda x: nan, grad_fn=lambda x: x)
+    rep = ll2022_run(obj, [1.0, 2.0], LL2022Params(
+        l_f=100, m_f=1, termination=TerminationPolicy(max_iterations=4)))
+    write_trace_csv(path, rep.trace)
+    assert math.isnan(rep.trace.f_x[0]) and read_trace_csv(path) == rep.trace
