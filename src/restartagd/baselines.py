@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .oracle import Objective, ObjectiveRaised, OracleSession, Vector
-from .solver import (DEFAULT_TERMINATION, Evaluated, ParamError,
-                     TerminationPolicy, _Certified, check_finite, drive)
+from .solver import DEFAULT_TERMINATION, ParamError, TerminationPolicy, check_finite, drive
 from .trace import RunReport
 
 
@@ -39,8 +38,7 @@ class _Gd:
 
     def __init__(self, session: OracleSession, x0: Vector, params: GdParams):
         self.session, self.params = session, params
-        self.base = Evaluated(x0, session.value(x0), session.grad(x0), session.grad_norm)
-        self.best = _Certified(x0, self.base.norm)
+        self.base = self.best = session.evaluate(x0)
         self.anchors = [self.base.f]
         self.L, self.M = params.l_init, 0.0
         self.accepted, self.epoch = 0, 1
@@ -51,9 +49,8 @@ class _Gd:
         x_trial = base.x - (1.0 / trial_L) * base.g
         f_trial = session.value(x_trial)
         if f_trial <= base.f - base.norm * base.norm / (2.0 * trial_L):
-            self.base = base = Evaluated(x_trial, f_trial, session.grad(x_trial),
-                                         session.grad_norm)
-            self.best.consider(x_trial, base.norm)
+            self.base = base = session.evaluate(x_trial)
+            self.best = self.best.better(base)
             self.anchors.append(f_trial)
             self.accepted += 1
             self.L = max(p.beta * trial_L, p.l_init)
@@ -110,8 +107,7 @@ class _LL2022:
         self.session, self.params = session, params
         self.momentum, self.L, self.M = params.momentum, params.l_f, params.m_f
         self.x_prev = x0
-        self.base = Evaluated(x0, None, session.grad(x0), session.grad_norm)
-        self.best = _Certified(x0, self.base.norm)
+        self.base = self.best = session.evaluate(x0, value=False)
         self.anchors: List[float] = []
         self.s = 0.0
         self.k = self.K = 0
@@ -127,8 +123,8 @@ class _LL2022:
         restart = k * p.m_f * s > p.eps
         y = x_new if restart else x_new + self.momentum * dx
         self.x_prev = x_new
-        self.base = base = Evaluated(y, None, session.grad(y), session.grad_norm)
-        self.best.consider(y, base.norm)
+        self.base = base = session.evaluate(y, value=False)
+        self.best = self.best.better(base)
 
         try:
             f_diag = float(session.obj.value_fn(x_new))

@@ -424,12 +424,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             bad = None
             for _ in range(samples):
                 rep = sample()
-                worst = min(worst, rep.slack)
+                worst = min(worst, rep.slack + rep.tol)
                 if not rep.holds and bad is None:
                     bad = rep
             verdict = "PASS" if bad is None else "FAIL"
             print(f"{verdict} {check_name} on {name}: {samples} samples, "
-                  f"worst slack={worst:.3e}")
+                  f"worst margin={worst:.3e}")
             if bad is not None:
                 failures += 1
                 pts = ", ".join(np.array2string(np.asarray(wit), precision=6)

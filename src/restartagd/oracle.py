@@ -68,6 +68,22 @@ def as_point(values, dim: Optional[int] = None) -> Vector:
     return x
 
 
+class Evaluated:
+    """A point the run evaluated: ``x``, its value ``f`` (``None`` for a
+    method that never asks for one), its gradient ``g`` and ``norm`` = ||g||,
+    as :meth:`OracleSession.evaluate` builds it.  Never mutated, so several
+    fields of a step object may hold the same record."""
+
+    __slots__ = ("x", "f", "g", "norm")
+
+    def __init__(self, x: Vector, f: Optional[float], g: Vector, norm: float):
+        self.x, self.f, self.g, self.norm = x, f, g, norm
+
+    def better(self, other: Evaluated) -> Evaluated:
+        """``other`` if its gradient norm is strictly lower, else this record."""
+        return other if other.norm < self.norm else self
+
+
 @dataclass(frozen=True)
 class Objective:
     """A smooth objective given by callables for the value and the gradient.
@@ -118,6 +134,10 @@ class OracleSession:
 
     An exception from ``value_fn`` or ``grad_fn``, or from reading its
     result as a float or an array, ends as :class:`ObjectiveRaised`.
+
+    ``evaluate(x)`` asks ``value`` (unless ``value=False``), then ``grad``,
+    and hands the point back as an :class:`Evaluated` record carrying the
+    gradient's norm, which is how the solvers ask for a point.
     """
 
     def __init__(self, obj: Objective):
@@ -172,6 +192,11 @@ class OracleSession:
         self._grad_cached = g
         self.grad_norm = norm
         return g
+
+    def evaluate(self, x: Vector, value: bool = True) -> Evaluated:
+        f = self.value(x) if value else None
+        g = self.grad(x)
+        return Evaluated(x, f, g, self.grad_norm)
 
     @property
     def n_oracle(self) -> int:

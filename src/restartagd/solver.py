@@ -26,10 +26,11 @@ is a step object built as ``method(session, x0, params)``, which makes the
 first evaluations and holds the run's state; ``step()`` returns one
 iteration's trace row, a tuple in ``TRACE_COLUMNS`` order ending in its event
 (``Terminated`` ends the run as ``EpsReached``), ``base`` is the next step's
-base point as an :class:`Evaluated` record, ``best`` the best evaluated
-gradient with its point, ``anchors`` the anchor values, and ``epoch``, ``L``
-and ``M`` the current epoch number and estimates, which the report takes
-as its final ones.
+base point and ``best`` the evaluated point of least gradient norm so far,
+both :class:`~restartagd.oracle.Evaluated` records that
+:meth:`OracleSession.evaluate` made, ``anchors`` the anchor values, and
+``epoch``, ``L`` and ``M`` the current epoch number and estimates, which the
+report takes as its final ones.
 """
 from __future__ import annotations
 
@@ -41,8 +42,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .oracle import (Objective, OracleError, OracleSession, Vector, as_point,
-                     l2_norm)
+from .oracle import Evaluated, Objective, OracleError, OracleSession, Vector, as_point
 from .trace import RunReport, Trace, TraceRecord
 
 M_PRACTICAL = "practical"
@@ -124,22 +124,6 @@ class SolverParams:
             raise ParamError("beta must lie in (0, 1]")
         if self.m_variant not in (M_PRACTICAL, M_THEORETICAL):
             raise ParamError(f"unknown m_variant {self.m_variant!r}")
-
-
-class Evaluated:
-    """A point the run evaluated: ``x``, its value ``f`` (``None`` for a
-    method that never asks for one), its gradient ``g`` and ``norm`` = ||g||.
-    The solvers pass the session's ``grad_norm``, read right after the
-    ``grad`` call that returned ``g``, so each fresh gradient is normed once;
-    without it the norm is formed here by the same helper.  Never mutated,
-    so several fields of a step object may hold the same record."""
-
-    __slots__ = ("x", "f", "g", "norm")
-
-    def __init__(self, x: Vector, f: Optional[float], g: Vector,
-                 norm: Optional[float] = None):
-        self.x, self.f, self.g = x, f, g
-        self.norm = l2_norm(g) if norm is None else norm
 
 
 def _fold_average_exact(k: int, y_bar: Vector, y: Vector) -> Vector:
@@ -234,20 +218,6 @@ def update_m(state: _Proposed, dx2: float,
     return m
 
 
-class _Certified:
-    """Best genuinely-evaluated gradient seen so far, with its point."""
-
-    __slots__ = ("point", "norm")
-
-    def __init__(self, point: Vector, norm: float):
-        self.point, self.norm = point, norm
-
-    def consider(self, point: Vector, norm: float) -> None:
-        if norm < self.norm:
-            self.point = point
-            self.norm = norm
-
-
 class _Proposed:
     """The adaptive method as a step object, which holds the run's state:
     the current epoch's evaluated points plus the run-wide counters ``K``,
@@ -260,8 +230,7 @@ class _Proposed:
 
     def __init__(self, session: OracleSession, x0: Vector, params: SolverParams):
         self.session, self.params = session, params
-        start = Evaluated(x0, session.value(x0), session.grad(x0), session.grad_norm)
-        self.best = _Certified(x0, start.norm)
+        self.best = start = session.evaluate(x0)
         self.anchors: List[float] = []
         self.K, self.epoch, self.L, self.M = 0, 0, params.l_init, params.m0
         self._begin_epoch(start)
@@ -294,10 +263,8 @@ class _Proposed:
         y_new = x_new + th * dx
 
         self.prev = self.cur
-        self.cur = cur = Evaluated(x_new, session.value(x_new), session.grad(x_new),
-                                   session.grad_norm)
-        self.y = y = Evaluated(y_new, session.value(y_new), session.grad(y_new),
-                               session.grad_norm)
+        self.cur = cur = session.evaluate(x_new)
+        self.y = y = session.evaluate(y_new)
         term = dx2 - self.s_comp  # compensated S_k += dx2
         s = self.s + term
         self.s_comp, self.s = (s - self.s) - term, s
@@ -306,7 +273,7 @@ class _Proposed:
         ybar_k = self.y_bar  # average of y_0..y_{k-1}: the certifiable point
         ybar: Optional[Evaluated] = None
         if params.m_variant == M_THEORETICAL:
-            ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
+            ybar = session.evaluate(ybar_k, value=False)
         self.M = update_m(self, dx2, None if ybar is None else ybar.norm)
 
         if descent_condition_holds(self):
@@ -319,13 +286,12 @@ class _Proposed:
         best = self.best
         if ybar is None and (pol.certify_mode == CERTIFY_EVERY_ITER or kind != "Step"
                              or (pol.eps is not None and monitor <= pol.eps)):
-            ybar = Evaluated(ybar_k, None, session.grad(ybar_k), session.grad_norm)
+            ybar = session.evaluate(ybar_k, value=False)
         if ybar is not None:
-            best.consider(ybar_k, ybar.norm)
-
+            best = best.better(ybar)
         if pol.certify_mode == CERTIFY_ON_CANDIDATE:
-            best.consider(x_new, cur.norm)
-            best.consider(y_new, y.norm)
+            best = best.better(cur).better(y)
+        self.best = best
 
         if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
             kind = "Terminated"
@@ -368,14 +334,13 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     trace = Trace()
     try:
         m = method(session, as_point(x_init, obj.dim), params)
-        best = m.best
-        calls, norms = array("q", [session.n_oracle]), array("d", [best.norm])
+        calls, norms = array("q", [session.n_oracle]), array("d", [m.best.norm])
         while True:
             if m.base.norm == 0.0:
-                best.consider(m.base.x, 0.0)
+                m.best = m.best.better(m.base)
                 reason = "Stationary"
                 break
-            if pol.eps is not None and best.norm <= pol.eps:
+            if pol.eps is not None and m.best.norm <= pol.eps:
                 reason = "EpsReached"
                 break
             if ((pol.max_oracle_calls is not None and session.n_oracle >= pol.max_oracle_calls)
@@ -388,9 +353,9 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
 
             row = m.step()
             trace.append(row)
-            if best.norm < norms[-1]:
+            if m.best.norm < norms[-1]:
                 calls.append(session.n_oracle)
-                norms.append(best.norm)
+                norms.append(m.best.norm)
             if observer is not None:
                 observer(m, TraceRecord(*row))
             if row[-1] == "Terminated":
@@ -401,12 +366,13 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
             del column[len(trace.event):]
         exc.partial_trace = trace  # type: ignore[attr-defined]
         raise
+    best = m.best
     if best.norm < norms[-1]:  # a Stationary stop certifies a zero gradient
         calls.append(session.n_oracle)
         norms.append(best.norm)
 
     return RunReport(
-        solution=best.point, certified_grad_norm=best.norm,
+        solution=best.x, certified_grad_norm=best.norm,
         total_K=len(trace), total_epochs=m.epoch,
         n_value=session.n_value, n_grad=session.n_grad,
         reason=reason, final_L=m.L, final_M=m.M,

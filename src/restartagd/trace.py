@@ -203,15 +203,12 @@ class TraceWriter:
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Write rows, each the eleven field values in ``TRACE_COLUMNS``
-        order (a tuple or a record), or every row of a :class:`Trace`."""
-        if isinstance(rows, Trace):
-            blocks = ([column[i:i + _BLOCK] for column in rows.columns]
-                      for i in range(0, len(rows), _BLOCK))
-        else:
-            rows = iter(rows)
-            blocks = (list(zip(*block, strict=True))
-                      for block in iter(lambda: list(islice(rows, _BLOCK)), []))
-        for K, epoch, k, n_oracle, *floats, event in blocks:
+        order (a tuple or a record), or every row of a :class:`Trace`; rows
+        that are not a Trace are packed into one first."""
+        rows = as_trace(rows)
+        for start in range(0, len(rows), _BLOCK):
+            K, epoch, k, n_oracle, *floats, event = (column[start:start + _BLOCK]
+                                                     for column in rows.columns)
             texts = [self._texts(i, values) for i, values in enumerate(floats)]
             lines = map(_ROW.__mod__, zip(K, epoch, k, n_oracle, *texts, event))
             while piece := "".join(islice(lines, _PIECE)):
@@ -250,7 +247,7 @@ def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:
     as a trace CSV, block by block from the columns, with one flush at the end."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = TraceWriter(fh)
-        w.add_rows(as_trace(rows))
+        w.add_rows(rows)
         w.close()
 
 

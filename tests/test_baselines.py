@@ -1,6 +1,8 @@
 """Baselines: backtracking gradient descent and the fixed-parameter
 restarted accelerated method."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,25 @@ def test_ll_f_column_is_uncounted_diagnostic():
         l_f=1.0, termination=TerminationPolicy(max_iterations=10)))
     assert rep.n_value == 0
     assert all(np.isfinite(r.f_x) for r in rep.trace)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+def test_ll_f_column_reads_nan_where_the_diagnostic_raises(error):
+    # The diagnostic value is outside the counted oracle: an arithmetic or
+    # value error there writes NaN and the run goes on as it would have.
+    spec = make_problem("cosine_sum", dim=4)
+    params = LL2022Params(l_f=1.0, termination=TerminationPolicy(max_iterations=10))
+
+    def value(x):
+        raise error("no value here")
+
+    obj = dataclasses.replace(spec.objective, value_fn=value)
+    rep = ll2022_run(obj, spec.x_init, params)
+    clean = ll2022_run(spec.objective, spec.x_init, params)
+    assert all(np.isnan(rep.trace.f_x))
+    assert (rep.n_value, rep.n_grad, rep.total_K) == (clean.n_value, clean.n_grad, 10)
+    assert rep.trace.grad_norm_monitor == clean.trace.grad_norm_monitor
+    np.testing.assert_array_equal(rep.solution, clean.solution)
 
 
 def test_ll_tight_budget_restarts_every_iteration():

@@ -720,7 +720,47 @@ def test_verify_forgives_the_rounding_of_the_operands_only(tmp_path, capsys, pro
     assert main(["verify", "--config", str(cfg)]) == rc
     shown = capsys.readouterr().out
     assert ("FAIL trapezoid" in shown) == ("FAIL jensen_gradient" in shown) == (rc == 1)
+    # The printed margin is slack plus tolerance: negative exactly on a FAIL.
+    lines = [line for line in shown.splitlines() if "worst margin=" in line]
+    assert len(lines) == 3
+    for line in lines:
+        margin = float(line.rsplit("worst margin=", 1)[1])
+        assert (margin >= 0.0) == line.startswith("PASS"), line
 
 
 def test_verify_rejects_bad_sample_count():
     assert main(["verify", "--samples", "0"]) == 2
+
+
+def test_verify_bounds_rosenbrock_over_its_sampling_box(tmp_path, capsys):
+    # Rosenbrock declares no curvature constants, so verify uses the
+    # conservative bounds over the sampling box.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("verify:\n  problems: [rosenbrock]\n  samples: 100\n  box: 2.0\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
+
+
+def test_verify_without_curvature_constants_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("verify:\n  problems: [matcomp_synthetic]\n  samples: 5\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "no curvature constants" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, error", [
+    ("run: [unclosed\n", "could not parse"),
+    ("", None),                                    # an empty file sets nothing
+    ("- run\n- grid\n", "top level must be a mapping"),
+    ("run:\n", None),                              # a null section sets nothing
+    ("run: 3\n", "section 'run' must be a mapping"),
+])
+def test_config_file_shapes(tmp_path, capsys, text, error):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = str(tmp_path / "cell")
+    assert main(["run", "--config", str(cfg), "--problem", "quadratic",
+                 "--max-iterations", "3", "--out", out]) == (0 if error is None else 2)
+    assert os.path.exists(os.path.join(out, "report.json")) == (error is None)
+    err = capsys.readouterr().err
+    assert err == "" if error is None else error in err

@@ -84,6 +84,21 @@ def test_session_counts_and_memoizes():
     assert sess.n_value == 3
 
 
+def test_evaluate_asks_value_then_grad_through_the_counted_channels():
+    spec = make_problem("rosenbrock")
+    sess = OracleSession(spec.objective)
+    x = as_point([0.0, 0.0])
+    e = sess.evaluate(x)
+    assert e.x is x and e.f == sess.value(x) == 1.0 and e.g is sess.grad(x)
+    assert e.norm == sess.grad_norm == 2.0
+    assert (sess.n_value, sess.n_grad) == (1, 1)
+    y = as_point([1.0, 1.0])        # the minimizer: a zero gradient
+    b = sess.evaluate(y, value=False)
+    assert b.f is None and (sess.n_value, sess.n_grad) == (1, 2)
+    # ``better`` keeps the first record unless the other's norm is strictly lower.
+    assert e.better(b) is b and b.better(e) is b and e.better(sess.evaluate(x)) is e
+
+
 def test_session_memo_is_bitwise_not_approximate():
     spec = make_problem("rosenbrock")
     sess = OracleSession(spec.objective)

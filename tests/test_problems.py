@@ -332,6 +332,21 @@ def test_instance_validation():
                                  cols=np.array([0]), vals=np.array([np.nan]))
 
 
+@pytest.mark.parametrize("p, q, rows, cols, vals, message", [
+    (0, 2, [0], [0], [1.0], "shape must be positive"),
+    (2, 0, [0], [0], [1.0], "shape must be positive"),
+    (2, 2, [0, 1], [0], [1.0], "equal length"),
+    (2, 2, [0], [0, 1], [1.0], "equal length"),
+    (2, 2, [0], [0], [1.0, 2.0], "equal length"),
+    (2, 2, [0], [2], [1.0], "column index out of range"),
+    (2, 2, [0], [-1], [1.0], "column index out of range"),
+])
+def test_instance_rejects_bad_shapes_and_columns(p, q, rows, cols, vals, message):
+    with pytest.raises(ValueError, match=message):
+        MatrixCompletionInstance(p=p, q=q, rows=np.array(rows), cols=np.array(cols),
+                                 vals=np.array(vals))
+
+
 def test_synthetic_instance_is_seeded_and_reproducible():
     a = synthetic_completion_instance(p=30, q=20, rank=3, fraction=0.3, seed=12)
     b = synthetic_completion_instance(p=30, q=20, rank=3, fraction=0.3, seed=12)

@@ -16,7 +16,8 @@ from restartagd import (CERTIFY_EVERY_ITER, GdParams, LL2022Params,
                         quadratic, run)
 from restartagd import solver
 from restartagd.baselines import _LL2022, _Gd
-from restartagd.solver import (Evaluated, _fold_average_exact, _Proposed,
+from restartagd.oracle import Evaluated, l2_norm
+from restartagd.solver import (_fold_average_exact, _Proposed,
                                descent_condition_holds, drive,
                                restart2_triggered, update_m)
 from reference import theta, update_average, update_m_eager
@@ -135,7 +136,8 @@ def _bare_state(f_x0=0.0, f_x_cur=0.0, x_prev=None, x_cur=None, y_cur=None,
     x = np.zeros(2)
 
     def point(at, f):
-        return Evaluated(x if at is None else at, f, x.copy())
+        g = x.copy()
+        return Evaluated(x if at is None else at, f, g, l2_norm(g))
 
     return _state(anchor=point(None, f_x0), prev=point(x_prev, 0.0),
                   cur=point(x_cur, f_x_cur), y=point(y_cur, 0.0), **overrides)
@@ -145,9 +147,9 @@ def test_descent_boundary_equality_counts_as_holding():
     # bound = f_x0 - L*S/(2(k+1)) = 1 - 2*1/4 = 0.5
     st = _bare_state(f_x0=1.0, L=2.0, k=1, s=1.0, f_x_cur=0.5)
     assert descent_condition_holds(st)
-    st.cur = Evaluated(st.cur.x, 0.5 + 1e-12, st.cur.g)
+    st.cur = Evaluated(st.cur.x, 0.5 + 1e-12, st.cur.g, l2_norm(st.cur.g))
     assert not descent_condition_holds(st)
-    st.cur = Evaluated(st.cur.x, 0.25, st.cur.g)
+    st.cur = Evaluated(st.cur.x, 0.25, st.cur.g, l2_norm(st.cur.g))
     assert descent_condition_holds(st)
 
 
@@ -198,7 +200,8 @@ def _sweep_state(rng):
         return rng.standard_normal(d) * _SCALES[rng.integers(len(_SCALES))]
 
     def point(x):
-        return Evaluated(x, float(vec()[0]), vec())
+        f, g = float(vec()[0]), vec()
+        return Evaluated(x, f, g, l2_norm(g))
 
     shape = rng.integers(4)
     x_prev = vec()
@@ -238,7 +241,7 @@ def test_update_m_bitwise_equals_the_eager_form():
 def _guard_state(xs, fs, gs, k, s, L):
     """A bare state with x_{k-1}, x_k, y_k at ``xs``, their values ``fs`` and
     gradients ``gs``, M = 1e-16, and its dx2."""
-    prev, cur, y = (Evaluated(x, f, g) for x, f, g in zip(xs, fs, gs))
+    prev, cur, y = (Evaluated(x, f, g, l2_norm(g)) for x, f, g in zip(xs, fs, gs))
     st = _state(k=k, s=s, L=L, prev=prev, cur=cur, y=y)
     dx = xs[1] - xs[0]
     return st, float(dx.dot(dx))
