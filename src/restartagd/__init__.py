@@ -9,11 +9,9 @@ restarts itself whenever an internally checkable progress condition fails.
 
 from .baselines import GdParams, LL2022Params, gd_run, ll2022_run
 from .checks import (InequalityReport, WeightError, check_descent_lemma,
-                     check_jensen_gradient, check_trapezoid,
-                     estimate_M_bruteforce, potential)
+                     check_jensen_gradient, check_trapezoid)
 from .oracle import (NonFiniteGradient, NonFiniteValue, Objective,
-                     ObjectiveRaised, OracleError, OracleSession, as_point,
-                     fd_gradient)
+                     ObjectiveRaised, OracleError, OracleSession, as_point)
 from .problems import (DATA_ENV_VAR, PROBLEM_NAMES, DimensionError,
                        MatrixCompletionInstance, ParseError, ProblemSpec,
                        completion_init, cosine_sum, load_movielens_100k,
@@ -36,9 +34,8 @@ __all__ = [
     "ParamError", "ParseError", "ProblemSpec", "REPORT_SCHEMA", "RunReport",
     "SolverParams", "TerminationPolicy", "Trace", "TraceRecord", "WeightError",
     "as_point", "check_descent_lemma", "check_jensen_gradient",
-    "check_trapezoid", "completion_init", "cosine_sum",
-    "estimate_M_bruteforce", "fd_gradient", "gd_run", "ll2022_run",
-    "load_movielens_100k", "make_problem", "matrix_completion", "potential",
+    "check_trapezoid", "completion_init", "cosine_sum", "gd_run",
+    "ll2022_run", "load_movielens_100k", "make_problem", "matrix_completion",
     "quadratic", "read_trace_csv", "report_to_dict", "rosenbrock", "run",
     "synthetic_completion_instance", "write_report_json", "write_trace_csv",
 ]

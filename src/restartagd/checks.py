@@ -1,4 +1,4 @@
-"""Executable smoothness inequalities and the potential function.
+"""Executable smoothness inequalities.
 
 These checks make the method's assumptions testable without ever forming a
 Hessian: every bound uses only values and gradients.  Each check returns an
@@ -8,17 +8,13 @@ so a failing report carries the witness points that broke the inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .oracle import Objective, Vector
 from .solver import _EPS, _NOISE_GUARD
-
-# Potential-function convention for the anchor index: the momentum weight
-# "before the first step" is the square of the first real weight, (1/2)^2.
-THETA0 = 0.25
 
 
 class WeightError(Exception):
@@ -105,66 +101,3 @@ def check_trapezoid(obj: Objective, x: Vector, y: Vector, M: float) -> Inequalit
     rhs = (M / 12.0) * h2 * math.sqrt(h2)
     operands = abs(fx) + abs(fy) + 0.5 * math.sqrt(float(gsum @ gsum) * h2)
     return _report("trapezoid", lhs, rhs, (x, y), operands)
-
-
-def estimate_M_bruteforce(obj: Objective, region: Tuple[Vector, Vector],
-                          samples: int, seed: int = 0) -> float:
-    """Sampled lower estimate of the Hessian's Lipschitz constant over a box.
-
-    Draws point pairs uniformly from ``region = (lower, upper)`` and takes the
-    largest of two certified ratios per pair: the trapezoid gap scaled by
-    12/||x-y||^3 (both orientations, via the absolute value) and the midpoint
-    interpolation error scaled by 8/||x-y||^2.  Both never exceed the true
-    constant, so the return value approaches it from below as sampling
-    densifies.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    lo = np.broadcast_to(np.asarray(region[0], dtype=np.float64), (obj.dim,))
-    hi = np.broadcast_to(np.asarray(region[1], dtype=np.float64), (obj.dim,))
-    if np.any(hi <= lo):
-        raise ValueError("region upper bounds must exceed lower bounds")
-    rng = np.random.default_rng(seed)
-    # Both checks need the gradients at x and y.  They are evaluated once per
-    # sample into ``memo`` (keyed on the point's bytes) and served from there,
-    # so a sample costs three gradients (x, y and their midpoint), not five.
-    grad_fn = obj.grad_fn
-    memo = {}
-
-    def grad(v: Vector) -> Vector:
-        g = memo.get(v.tobytes())
-        return grad_fn(v) if g is None else g
-
-    shared = replace(obj, grad_fn=grad)
-    estimate = 0.0
-    for _ in range(samples):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        d = x - y
-        h2 = float(d @ d)
-        if h2 == 0.0:
-            continue
-        memo = {x.tobytes(): grad_fn(x), y.tobytes(): grad_fn(y)}
-        gap = check_trapezoid(shared, x, y, 0.0).lhs
-        estimate = max(estimate, 12.0 * abs(gap) / (h2 * math.sqrt(h2)))
-        err = check_jensen_gradient(shared, (x, y), (0.5, 0.5), 0.0).lhs
-        estimate = max(estimate, 8.0 * err / h2)
-    return estimate
-
-
-def potential(f_x: float, x: Vector, x_prev: Vector, grad_x_prev: Vector,
-              th: float, L: float) -> float:
-    """Lyapunov value for one iterate pair:
-
-        f(x) + (th^2/2) ( <grad f(x_prev), x - x_prev>
-                          + ||grad f(x_prev)||^2 / (2L)
-                          + L ||x - x_prev||^2 ).
-
-    Always >= f(x): the bracket equals ||g + L d||^2/(2L) + (L/2)||d||^2 with
-    d = x - x_prev, a sum of squares.  At an epoch anchor (x == x_prev) use
-    th = THETA0.
-    """
-    d = x - x_prev
-    g = grad_x_prev
-    bracket = float(g @ d) + float(g @ g) / (2.0 * L) + L * float(d @ d)
-    return f_x + 0.5 * th * th * bracket

@@ -15,7 +15,7 @@ import dataclasses
 import math
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,39 +37,26 @@ class ConfigError(Exception):
     pass
 
 
-def _proposed(s: dict, pol: agd.TerminationPolicy):
-    p = agd.SolverParams(l_init=float(s["l_init"]), m0=float(s["m0"]),
-                         alpha=float(s["alpha"]), beta=float(s["beta"]),
-                         m_variant=s["m_variant"], termination=pol)
-    return agd.run, p, {"l_init": p.l_init, "m0": p.m0, "alpha": p.alpha,
-                        "beta": p.beta, "m_variant": p.m_variant}
-
-
-def _gd(s: dict, pol: agd.TerminationPolicy):
-    p = baselines.GdParams(l_init=float(s["l_init"]), alpha=float(s["alpha"]),
-                           beta=float(s["beta"]), termination=pol)
-    return baselines.gd_run, p, {"l_init": p.l_init, "alpha": p.alpha, "beta": p.beta}
-
-
-def _ll2022(s: dict, pol: agd.TerminationPolicy):
-    p = baselines.LL2022Params(l_f=float(s["l_init"]), m_f=float(s["m0"]),
-                               eps=float(s["ll_eps"]), termination=pol)
-    return baselines.ll2022_run, p, {"l_f": p.l_f, "m_f": p.m_f,
-                                     "tuned_eps": p.eps, "momentum": p.momentum}
-
-
 class _Solver(NamedTuple):
-    """``setup(settings, policy)`` returns the solve function, read from its
-    module at call time, its params and the ``report.json`` params doc."""
+    """A solver: the module and name of its entry point, looked up at call
+    time, its params class, the setting each params field is read from, and
+    whether ``grid`` runs it once per m0 value."""
 
-    setup: Callable[[dict, agd.TerminationPolicy], Tuple[Callable, Any, dict]]
-    sweeps_m0: bool  # whether ``grid`` runs the solver once per m0 value
+    module: Any
+    entry: str
+    params: type
+    fields: Dict[str, str]
+    sweeps_m0: bool
 
 
 SOLVERS = {
-    "proposed": _Solver(_proposed, sweeps_m0=True),
-    "gd": _Solver(_gd, sweeps_m0=False),
-    "ll2022": _Solver(_ll2022, sweeps_m0=True),
+    "proposed": _Solver(agd, "run", agd.SolverParams, {
+        "l_init": "l_init", "m0": "m0", "alpha": "alpha", "beta": "beta",
+        "m_variant": "m_variant"}, sweeps_m0=True),
+    "gd": _Solver(baselines, "gd_run", baselines.GdParams, {
+        "l_init": "l_init", "alpha": "alpha", "beta": "beta"}, sweeps_m0=False),
+    "ll2022": _Solver(baselines, "ll2022_run", baselines.LL2022Params, {
+        "l_f": "l_init", "m_f": "m0", "eps": "ll_eps"}, sweeps_m0=True),
 }
 
 
@@ -229,15 +216,22 @@ def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
     pol = _termination(s)
-    setup = _solver(s["solver"]).setup
+    solver = _solver(s["solver"])
     try:
-        entry, params, doc = setup(s, pol)
+        params = solver.params(termination=pol, **{
+            name: s[key] if name == "m_variant" else float(s[key])
+            for name, key in solver.fields.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    doc.update(dataclasses.asdict(pol), seed=_whole(s, "seed"))
+    # The params doc: the params' fields, the termination's merged in.
+    # ll2022's tuned eps is renamed first, since the termination has one too.
+    doc = dataclasses.asdict(params)
+    if isinstance(params, baselines.LL2022Params):
+        doc.update(tuned_eps=doc.pop("eps"), momentum=params.momentum)
+    doc.update(doc.pop("termination"), seed=_whole(s, "seed"))
 
     try:
-        report = entry(spec.objective, spec.x_init, params)
+        report = getattr(solver.module, solver.entry)(spec.objective, spec.x_init, params)
     except (OracleError, KeyboardInterrupt) as exc:
         write_trace_csv(trace_path, getattr(exc, "partial_trace", []))
         raise
@@ -310,6 +304,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
             raise ConfigError(f"{key} must not be an empty list")
     if not all(map(math.isfinite, thresholds)):
         raise ConfigError(f"thresholds must be finite, not {thresholds!r}")
+    thr_columns = [_thr_col(t) for t in thresholds]
+    for col in thr_columns:
+        if thr_columns.count(col) > 1:  # a repeated value, or two equal in %g
+            raise ConfigError(f"two thresholds share the summary column {col!r}")
     out_dir = _out_dir(s, GRID_DEFAULTS["out"])
 
     payloads = {}  # by tag, the cell's directory name
@@ -329,9 +327,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     columns = ["problem", "solver", "l_init", "m0", "reason",
-               "certified_grad_norm", "n_oracle"]
-    columns += [_thr_col(t) for t in thresholds]
-    columns += ["error"]
+               "certified_grad_norm", "n_oracle", *thr_columns, "error"]
     summary_path = os.path.join(out_dir, "summary.csv")
     with contextlib.ExitStack() as stack:
         cells = map(_grid_worker, payloads.values())

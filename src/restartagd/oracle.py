@@ -2,9 +2,7 @@
 
 Every solver in this package talks to an objective exclusively through an
 :class:`OracleSession`, which counts value/gradient evaluations and serves
-repeated requests at the same point from a single-slot memo.  Finite
-differences are available as a separate diagnostic channel that does not
-touch the counters.
+repeated requests at the same point from a single-slot memo.
 """
 from __future__ import annotations
 
@@ -201,20 +199,3 @@ class OracleSession:
     @property
     def n_oracle(self) -> int:
         return self.n_value + self.n_grad
-
-
-def fd_gradient(obj: Objective, x: Vector, h: Optional[float] = None) -> Vector:
-    """Central-difference gradient, one coordinate at a time.
-
-    This is a diagnostic channel: it calls ``value_fn`` directly and does not
-    count toward any session's totals.  The default step scales with the point,
-    h = 1e-6 * (1 + max_i |x_i|).
-    """
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        g[i] = (obj.value_fn(x + step) - obj.value_fn(x - step)) / (2.0 * h)
-    return g

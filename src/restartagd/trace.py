@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
 from typing import IO, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -168,30 +168,24 @@ class RunReport:
 # ``EVENTS`` are a fixed set without them.
 _ROW = "%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\r\n"
 
-# Rows in which :class:`TraceWriter` finds the runs of each float column at
-# a time, and rows or anchors whose text is built and written at a time.
-# Texts are made as their rows are formatted and written in small pieces:
-# a block's texts built whole raised the default grid's peak RSS ~0.6 MB.
-_BLOCK = 1024
+# Anchors whose text :func:`write_report_json` builds and writes at a time.
 _PIECE = 128
 
 
 class TraceWriter:
     """Writes trace rows to a CSV file: the header, flushed, when built, then
-    the rows of each :meth:`add_rows` call; :meth:`close` flushes them.
+    the rows of each :meth:`add_rows` call, one ``write`` a row;
+    :meth:`close` flushes them.
 
-    Rows are taken in blocks of up to ``_BLOCK`` rows and formatted column
-    by column, each float text made as its row is formatted, and written
-    ``_PIECE`` rows to a ``write``.  A float field is written as
-    ``repr(float(v))``.  Most of them repeat the row before (``L`` and ``M``
-    hold for an epoch, ``gd``'s ``M`` and ``S_k`` are always 0.0, and past a
-    bitwise fixed point every float column repeats), so in each float column
-    the writer finds the runs of values equal as float64 bits (a zero of the
-    other sign starts a new run) and formats each run once.  The last
-    value and its text carry over to the next block and the next call, so
-    rows added one call at a time share texts too.  NaN is formatted every
-    row, and so is ``grad_norm_ybar`` in a block where it is missing
-    (``None``, written empty) from some rows."""
+    A float field is written as ``repr(float(v))``, and a missing
+    ``grad_norm_ybar`` (``None``) as an empty field.  Most float fields
+    repeat the row before (``L`` and ``M`` hold for an epoch, ``gd``'s ``M``
+    and ``S_k`` are always 0.0, and past a bitwise fixed point every float
+    column repeats), so a field is formatted only when its value differs
+    from the previous row's; a zero of the other sign counts as different,
+    and a NaN, equal to nothing, is formatted every row.  The last values
+    and their texts carry over to the next call, so rows added one call at a
+    time share texts too."""
 
     def __init__(self, out: IO[str]):
         self._out = out
@@ -199,44 +193,31 @@ class TraceWriter:
         self._out.flush()
         # The last row's value and text of f_x, grad_norm_monitor,
         # grad_norm_ybar, L, M and S_k: any value with its own text will do.
-        self._last = [(0.0, "0.0")] * 6
+        self._last = (0.0, "0.0", 0.0, "0.0", None, "", 0.0, "0.0", 0.0, "0.0", 0.0, "0.0")
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Write rows, each the eleven field values in ``TRACE_COLUMNS``
-        order (a tuple or a record), or every row of a :class:`Trace`; rows
-        that are not a Trace are packed into one first."""
-        rows = as_trace(rows)
-        for start in range(0, len(rows), _BLOCK):
-            K, epoch, k, n_oracle, *floats, event = (column[start:start + _BLOCK]
-                                                     for column in rows.columns)
-            texts = [self._texts(i, values) for i, values in enumerate(floats)]
-            lines = map(_ROW.__mod__, zip(K, epoch, k, n_oracle, *texts, event))
-            while piece := "".join(islice(lines, _PIECE)):
-                self._out.write(piece)
-
-    def _texts(self, i: int, values: Sequence) -> Iterable[str]:
-        """The texts of a block's ``values`` of float column ``i``, each made
-        as its row is formatted, so that a block holds few texts at once."""
-        n = len(values)
-        last, last_text = self._last[i]
-        if i == 2 and None in values:   # grad_norm_ybar, mostly missing
-            texts = ["" if v is None else repr(float(v)) for v in values]
-            self._last[i] = (values[-1], texts[-1])
-            return texts
-        a = np.empty(n + 1)
-        a[0] = last
-        a[1:] = values
-        bits = a.view(np.int64)
-        # A run starts where the bits change and at every NaN, which is
-        # also how a last ybar that was missing reads.
-        starts = np.flatnonzero((bits[1:] != bits[:-1]) | np.isnan(a[1:]))
-        self._last[i] = (values[-1], repr(float(a[-1])) if len(starts) else last_text)
-        if len(starts) == n:
-            return map(float.__repr__, memoryview(a[1:]))
-        texts = map(float.__repr__, memoryview(a[1:][starts]))
-        starts = starts.tolist()
-        runs = map(operator.sub, starts + [n], [0, *starts])    # the first carries over
-        return chain.from_iterable(map(repeat, chain([last_text], texts), runs))
+        order (a tuple or a record), or every row of a :class:`Trace`."""
+        if isinstance(rows, Trace):
+            rows = zip(*rows.columns)
+        write, sign = self._out.write, math.copysign
+        f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1 = self._last
+        for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
+            # ``v != last``, or both zero with different signs: format anew.
+            if f_x != f0 or f_x == 0.0 and sign(1.0, f_x) != sign(1.0, f0):
+                f0, f1 = f_x, repr(float(f_x))
+            if monitor != g0 or monitor == 0.0 and sign(1.0, monitor) != sign(1.0, g0):
+                g0, g1 = monitor, repr(float(monitor))
+            if ybar != y0 or ybar == 0.0 and sign(1.0, ybar) != sign(1.0, y0):
+                y0, y1 = ybar, "" if ybar is None else repr(float(ybar))
+            if L != L0 or L == 0.0 and sign(1.0, L) != sign(1.0, L0):
+                L0, L1 = L, repr(float(L))
+            if M != M0 or M == 0.0 and sign(1.0, M) != sign(1.0, M0):
+                M0, M1 = M, repr(float(M))
+            if S_k != S0 or S_k == 0.0 and sign(1.0, S_k) != sign(1.0, S0):
+                S0, S1 = S_k, repr(float(S_k))
+            write(_ROW % (K, epoch, k, n_oracle, f1, g1, y1, L1, M1, S1, event))
+        self._last = (f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1)
 
     def close(self) -> None:
         self._out.flush()
@@ -244,7 +225,7 @@ class TraceWriter:
 
 def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:
     """Write ``rows`` (a :class:`Trace` or any iterable of rows or records)
-    as a trace CSV, block by block from the columns, with one flush at the end."""
+    as a trace CSV, with one flush at the end."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = TraceWriter(fh)
         w.add_rows(rows)

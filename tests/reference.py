@@ -1,5 +1,6 @@
 """Reference forms the tests compare the solver's arithmetic and the output
-writers against."""
+writers against, and the diagnostics they check runs with: a sampled M
+estimate, the potential function and a finite-difference gradient."""
 
 import csv
 import math
@@ -86,9 +87,16 @@ def rosenbrock_grad(v):
     return np.array([2.0 * (v[0] - 1.0) - 400.0 * v[0] * b, 200.0 * b])
 
 
-def estimate_M_bruteforce_unshared(obj, region, samples: int, seed: int = 0) -> float:
-    """``checks.estimate_M_bruteforce`` as first written: each check evaluates
-    its own gradients, so every sample costs five of them."""
+def estimate_M_bruteforce(obj, region, samples: int, seed: int = 0) -> float:
+    """Sampled lower estimate of the Hessian's Lipschitz constant over a box.
+
+    Draws point pairs uniformly from ``region = (lower, upper)`` and takes the
+    largest of two certified ratios per pair: the trapezoid gap scaled by
+    12/||x-y||^3 (both orientations, via the absolute value) and the midpoint
+    interpolation error scaled by 8/||x-y||^2.  Both never exceed the true
+    constant, so the return value approaches it from below as sampling
+    densifies.  Each check evaluates its own gradients, five a sample.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     lo = np.broadcast_to(np.asarray(region[0], dtype=np.float64), (obj.dim,))
@@ -111,37 +119,56 @@ def estimate_M_bruteforce_unshared(obj, region, samples: int, seed: int = 0) -> 
     return estimate
 
 
-class RowwiseTraceWriter:
-    """``trace.TraceWriter`` as it was before it wrote in column blocks: one
-    row at a time, comparing each float field with the previous row's."""
+# Potential-function convention for the anchor index: the momentum weight
+# "before the first step" is the square of the first real weight, (1/2)^2.
+THETA0 = 0.25
+
+
+def potential(f_x: float, x, x_prev, grad_x_prev, th: float, L: float) -> float:
+    """Lyapunov value for one iterate pair:
+
+        f(x) + (th^2/2) ( <grad f(x_prev), x - x_prev>
+                          + ||grad f(x_prev)||^2 / (2L)
+                          + L ||x - x_prev||^2 ).
+
+    Always >= f(x): the bracket equals ||g + L d||^2/(2L) + (L/2)||d||^2 with
+    d = x - x_prev, a sum of squares.  At an epoch anchor (x == x_prev) use
+    th = THETA0.
+    """
+    d = x - x_prev
+    g = grad_x_prev
+    bracket = float(g @ d) + float(g @ g) / (2.0 * L) + L * float(d @ d)
+    return f_x + 0.5 * th * th * bracket
+
+
+def fd_gradient(obj, x, h=None):
+    """Central-difference gradient, one coordinate at a time, from
+    ``value_fn`` called directly (no session counts it).  The default step
+    scales with the point, h = 1e-6 * (1 + max_i |x_i|)."""
+    if h is None:
+        h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+    g = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        g[i] = (obj.value_fn(x + step) - obj.value_fn(x - step)) / (2.0 * h)
+    return g
+
+
+class PlainTraceWriter:
+    """A trace CSV writer that formats every field of every row: a float as
+    ``repr(float(v))``, a missing ``grad_norm_ybar`` as an empty field."""
 
     def __init__(self, out):
         self._out = out
         csv.writer(out).writerow(TRACE_COLUMNS)
-        self._out.flush()
-        self._last = (0.0, "0.0", 0.0, "0.0", None, "", 0.0, "0.0", 0.0, "0.0", 0.0, "0.0")
 
     def add_rows(self, rows) -> None:
         """Write rows, each the eleven field values in ``TRACE_COLUMNS``
         order (a tuple or a record)."""
-        write, sign = self._out.write, math.copysign
-        f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1 = self._last
-        for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
-            # ``v != last``, or both zero with different signs: format anew.
-            if f_x != f0 or f_x == 0.0 and sign(1.0, f_x) != sign(1.0, f0):
-                f0, f1 = f_x, repr(float(f_x))
-            if monitor != g0 or monitor == 0.0 and sign(1.0, monitor) != sign(1.0, g0):
-                g0, g1 = monitor, repr(float(monitor))
-            if ybar != y0 or ybar == 0.0 and sign(1.0, ybar) != sign(1.0, y0):
-                y0, y1 = ybar, "" if ybar is None else repr(float(ybar))
-            if L != L0 or L == 0.0 and sign(1.0, L) != sign(1.0, L0):
-                L0, L1 = L, repr(float(L))
-            if M != M0 or M == 0.0 and sign(1.0, M) != sign(1.0, M0):
-                M0, M1 = M, repr(float(M))
-            if S_k != S0 or S_k == 0.0 and sign(1.0, S_k) != sign(1.0, S0):
-                S0, S1 = S_k, repr(float(S_k))
-            write(_ROW % (K, epoch, k, n_oracle, f1, g1, y1, L1, M1, S1, event))
-        self._last = (f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1)
+        for K, epoch, k, n_oracle, *floats, event in rows:
+            texts = ("" if v is None else repr(float(v)) for v in floats)
+            self._out.write(_ROW % (K, epoch, k, n_oracle, *texts, event))
 
     def close(self) -> None:
         self._out.flush()

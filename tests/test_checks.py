@@ -1,15 +1,14 @@
-"""Inequality checks: tight cases by hand, failure witnesses, the sampled
-curvature estimator, and the potential function identity."""
+"""Inequality checks: tight cases by hand and failure witnesses; and the
+tests' own sampled curvature estimator and potential function identity."""
 
 import numpy as np
 import pytest
 
 from restartagd import (Objective, WeightError, check_descent_lemma,
                         check_jensen_gradient, check_trapezoid, cosine_sum,
-                        estimate_M_bruteforce, potential, quadratic, rosenbrock)
-from restartagd.checks import THETA0
+                        quadratic)
 
-from reference import estimate_M_bruteforce_unshared
+from reference import THETA0, estimate_M_bruteforce, potential
 
 
 def cube_1d() -> Objective:
@@ -124,7 +123,7 @@ def test_jensen_rejects_bad_weights():
 
 
 # ---------------------------------------------------------------------------
-# sampled curvature estimator
+# sampled curvature estimator (built on the two checks, kept in reference.py)
 
 
 def test_estimate_m_recovers_cubic_constant():
@@ -148,24 +147,6 @@ def test_estimate_m_brackets_cosine_constant():
     assert 0.5 < est <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("make, box", [
-    (lambda: cosine_sum(3), 10.0), (rosenbrock, 2.0), (cube_1d, 2.0)],
-    ids=["cosine_sum", "rosenbrock", "cube_1d"])
-def test_estimate_m_takes_three_gradients_per_sample(make, box):
-    obj = make()
-    calls = []
-
-    def grad(v):
-        calls.append(1)
-        return obj.grad_fn(v)
-
-    counted = Objective(dim=obj.dim, value_fn=obj.value_fn, grad_fn=grad)
-    region = (np.full(obj.dim, -box), np.full(obj.dim, box))
-    est = estimate_M_bruteforce(counted, region, samples=2000, seed=11)
-    assert len(calls) == 3 * 2000
-    assert est == estimate_M_bruteforce_unshared(obj, region, samples=2000, seed=11)
-
-
 def test_estimate_m_validates_inputs():
     obj = quadratic(2)
     with pytest.raises(ValueError):
@@ -175,7 +156,7 @@ def test_estimate_m_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
-# potential function
+# potential function (kept in reference.py)
 
 
 def test_potential_matches_sum_of_squares_form():

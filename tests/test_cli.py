@@ -60,6 +60,23 @@ def test_run_eps_zero_disables_gradient_stop(tmp_path):
     assert doc["params"]["eps"] is None
 
 
+@pytest.mark.parametrize("name, fields", [
+    ("proposed", {"l_init": 4.0, "m0": 1e-16, "alpha": 2.0, "beta": 0.9,
+                  "m_variant": "practical"}),
+    ("gd", {"l_init": 4.0, "alpha": 2.0, "beta": 0.9}),
+    # ll2022's own eps is written as tuned_eps; "eps" is the termination's.
+    ("ll2022", {"l_f": 4.0, "m_f": 1e-16, "tuned_eps": 1e-16,
+                "momentum": baselines.LL2022Params(l_f=4.0, m_f=1e-16).momentum}),
+])
+def test_report_params_are_the_solver_fields_and_the_termination(tmp_path, name, fields):
+    out = str(tmp_path / name)
+    assert main(["run", "--problem", "quadratic", "--solver", name, "--seed", "3",
+                 "--l-init", "4", "--max-iterations", "50", "--out", out]) == 0
+    assert read_report(out)["params"] == {
+        **fields, "eps": 1e-6, "max_oracle_calls": 100_000, "max_iterations": 50,
+        "max_seconds": None, "certify_mode": "OnCandidate", "seed": 3}
+
+
 def test_run_flags_override_config(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
@@ -490,6 +507,8 @@ GRID_SMALL = "  problem: quadratic\n  dim: 4\n  max_oracle_calls: 500\n"
     ("grid", "thresholds: [.nan]", 2),
     ("grid", "thresholds: [1e-2, .inf]", 2),
     ("grid", "thresholds: -.inf", 2),
+    ("grid", "thresholds: [1.0e-6, 1.0000001e-6]", 2),   # equal in %g
+    ("grid", "thresholds: [1.0e-2, 1.0e-3, 1.0e-2]", 2),
 ])
 def test_bad_config_values_exit_2_and_scalar_thresholds_work(tmp_path, capsys, section, line, rc):
     cfg = tmp_path / "cfg.yaml"

@@ -1,5 +1,5 @@
-"""The package's imports: every imported name is used, and the costly
-dependencies load only on the paths that need them.
+"""The package's imports: every imported name is used, every export exists
+once, and the costly dependencies load only on the paths that need them.
 
 The first half parses each module with ``ast`` and lists the names an
 ``import`` binds that the module never loads.  ``__init__.py`` is skipped:
@@ -54,6 +54,15 @@ def test_no_unused_imports(path):
     with open(path, "r", encoding="utf-8") as fh:
         found = unused_imports(fh.read())
     assert found == [], f"{path}: unused imports {found}"
+
+
+def test_every_export_is_defined_once():
+    # A stale entry naming a removed function would otherwise pass unseen.
+    import restartagd
+
+    names = restartagd.__all__
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []
+    assert [name for name in names if not hasattr(restartagd, name)] == []
 
 
 # Run in a fresh interpreter: this test process has long since imported SciPy

@@ -7,7 +7,9 @@ import pytest
 
 from restartagd import (NonFiniteGradient, NonFiniteValue, Objective,
                         ObjectiveRaised, OracleError, OracleSession, as_point,
-                        fd_gradient, make_problem, oracle)
+                        make_problem, oracle)
+
+from reference import fd_gradient
 
 ALL_BUILTINS = ["rosenbrock", "quadratic", "cosine_sum", "matcomp_synthetic"]
 

@@ -10,12 +10,12 @@ from scipy import sparse
 from restartagd import (CERTIFY_EVERY_ITER, M_THEORETICAL, DimensionError,
                         GdParams, LL2022Params, MatrixCompletionInstance,
                         Objective, ParseError, SolverParams, TerminationPolicy,
-                        completion_init, cosine_sum, fd_gradient, gd_run,
+                        completion_init, cosine_sum, gd_run,
                         ll2022_run, load_movielens_100k, make_problem,
                         matrix_completion, quadratic, rosenbrock, run,
                         synthetic_completion_instance)
 from restartagd.problems import DATA_ENV_VAR
-from reference import rosenbrock_grad, rosenbrock_value
+from reference import fd_gradient, rosenbrock_grad, rosenbrock_value
 
 
 def test_rosenbrock_metadata():

@@ -11,8 +11,7 @@ import pytest
 
 from restartagd import (GdParams, LL2022Params, SolverParams,
                         TerminationPolicy, gd_run, ll2022_run, make_problem, run)
-from restartagd.checks import THETA0, potential
-from reference import theta
+from reference import THETA0, potential, theta
 
 
 def solve(problem_name, *, seed=0, dim=10, observer=None, **params):

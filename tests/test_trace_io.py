@@ -21,9 +21,9 @@ from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, Objective,
                         TraceRecord, gd_run, ll2022_run, make_problem,
                         read_trace_csv, report_to_dict, run,
                         write_report_json, write_trace_csv)
-from restartagd.trace import _BLOCK, EVENTS, TRACE_COLUMNS, TraceWriter
+from restartagd.trace import EVENTS, TRACE_COLUMNS, TraceWriter
 
-from reference import RowwiseTraceWriter
+from reference import PlainTraceWriter
 
 
 def sample_records():
@@ -366,8 +366,11 @@ def test_trace_columns_keep_types_shared_objects_and_float_bits(tmp_path):
     assert type(rep.trace.L[0]) is int and rep.trace.grad_norm_ybar == [None] * 4
 
 
-# The block writer against the row-at-a-time writer it replaced: the same
-# bytes for any rows, however they are handed over.
+# The writer, which formats a float field only when it differs from the row
+# before, against one that formats every field: the same bytes for any rows,
+# however they are handed over.  The lengths and chunk sizes straddle 1,024
+# and its multiples, the blocks an earlier writer worked in; the tests below
+# keep the names they had then ("block writer", "rowwise reference").
 
 def _csv(writer_class, chunks):
     buf = io.StringIO(newline="")
@@ -382,16 +385,16 @@ def _split(rows, rng):
     """``rows`` cut into chunks of random sizes, some of a single row."""
     chunks, i = [], 0
     while i < len(rows):
-        size = rng.choice((1, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK))
+        size = rng.choice((1, 1, 7, 1023, 1024, 1025, 3072))
         chunks.append(rows[i:i + size])
         i += size
     return chunks
 
 
 def _assert_written_alike(rows, rng):
-    """Every way of handing ``rows`` to the block writer gives the reference
+    """Every way of handing ``rows`` to the writer gives the reference
     bytes: a Trace, tuples, records, a generator, one row a call, chunks."""
-    want = _csv(RowwiseTraceWriter, [rows])
+    want = _csv(PlainTraceWriter, [rows])
     records = [TraceRecord(*row) for row in rows]
     for chunks in ([Trace(rows)], [rows], [records], [iter(rows)],
                    [[row] for row in rows], _split(rows, rng),
@@ -424,7 +427,7 @@ def _random_rows(rng, n):
     return rows
 
 
-LENGTHS = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 3000)
+LENGTHS = (0, 1, 2, 1023, 1024, 1025, 2047, 2049, 3000)
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -434,7 +437,7 @@ def test_block_writer_matches_the_rowwise_reference_on_random_rows(n):
         _assert_written_alike(_random_rows(rng, n), rng)
 
 
-@pytest.mark.parametrize("n", (_BLOCK - 1, _BLOCK, _BLOCK + 1))
+@pytest.mark.parametrize("n", (1023, 1024, 1025))
 def test_block_writer_matches_the_rowwise_reference_on_the_edge_tables(n):
     rng = random.Random(n)
     for table in (_edge_records(), _repeat_records()):
@@ -443,18 +446,18 @@ def test_block_writer_matches_the_rowwise_reference_on_the_edge_tables(n):
 
 
 def test_a_missing_ybar_carries_over_a_block_boundary():
-    # A block ending on a missing ybar, then blocks opening with NaN of the
-    # same bits NumPy gives a missing value, with a number, and missing again.
+    # Runs of 1,024 rows whose ybar is missing, NaN, a number, then missing
+    # again: each change of kind is written as its own text, however chunked.
     nan = float("nan")
-    rows = [(i, 1, i, i, 1.0, 1.0, None, 1.0, 0.0, 0.0, "Step") for i in range(_BLOCK)]
-    rows += [(i, 1, i, i, 1.0, 1.0, nan, 1.0, 0.0, 0.0, "Step") for i in range(_BLOCK)]
+    rows = [(i, 1, i, i, 1.0, 1.0, None, 1.0, 0.0, 0.0, "Step") for i in range(1024)]
+    rows += [(i, 1, i, i, 1.0, 1.0, nan, 1.0, 0.0, 0.0, "Step") for i in range(1024)]
     rows += [(i, 1, i, i, 1.0, 1.0, v, 1.0, 0.0, 0.0, "Step") for i, v in
-             enumerate([0.5] * _BLOCK + [None] * _BLOCK)]
+             enumerate([0.5] * 1024 + [None] * 1024)]
     _assert_written_alike(rows, random.Random(0))
 
 
 def test_rows_added_one_call_at_a_time_across_a_block_boundary(tmp_path):
-    rows = [tuple(rec) for rec in _repeat_records()] * (_BLOCK // 8 + 2)
+    rows = [tuple(rec) for rec in _repeat_records()] * (1024 // 8 + 2)
     buf = io.StringIO(newline="")
     writer = TraceWriter(buf)
     for row in rows:
@@ -468,13 +471,13 @@ def test_rows_added_one_call_at_a_time_across_a_block_boundary(tmp_path):
 
 def test_writing_a_trace_leaves_its_columns_free_to_grow(tmp_path):
     # An array whose buffer a NumPy view still holds cannot grow.
-    trace = Trace(_random_rows(random.Random(1), _BLOCK + 1))
+    trace = Trace(_random_rows(random.Random(1), 1025))
     write_trace_csv(str(tmp_path / "trace.csv"), trace)
     trace.append(trace[0])
-    assert len(trace) == _BLOCK + 2
+    assert len(trace) == 1026
 
 
-@pytest.mark.parametrize("n", (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1))
+@pytest.mark.parametrize("n", (0, 1, 1023, 1024, 1025, 2049))
 def test_report_json_matches_the_json_module_byte_for_byte(tmp_path, n):
     rng = random.Random(n)
     anchors = [rng.choice(POOL[:10]) if rng.random() < 0.1
