@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .oracle import Objective, ObjectiveRaised, OracleSession, Vector
+from .oracle import Objective, ObjectiveRaised, OracleSession, Vector, one_point
 from .solver import DEFAULT_TERMINATION, ParamError, TerminationPolicy, check_finite, drive
 from .trace import RunReport
 
@@ -34,14 +34,17 @@ class GdParams:
 
 
 class _Gd:
-    """The step object of :func:`gd_run`."""
+    """The step object of :func:`gd_run`.  It never stalls: even where its
+    step cannot move the point, each accepted step appends an anchor and
+    each rejected one starts an epoch, so no row repeats the last but ``K``
+    and ``k``."""
 
     def __init__(self, session: OracleSession, x0: Vector, params: GdParams):
         self.session, self.params = session, params
         self.base = self.best = session.evaluate(x0)
         self.anchors = [self.base.f]
         self.L, self.M = params.l_init, 0.0
-        self.accepted, self.epoch = 0, 1
+        self.accepted, self.epoch, self.stalled = 0, 1, False
 
     def step(self) -> tuple:
         p, session, base = self.params, self.session, self.base
@@ -101,7 +104,15 @@ class LL2022Params:
 
 
 class _LL2022:
-    """The step object of :func:`ll2022_run`."""
+    """The step object of :func:`ll2022_run`.  ``stalled`` holds after a step
+    that did not restart and began and ended at one point: the base, x_{k-1},
+    x_k and y_k bitwise equal.  Every later step then takes the same step
+    from the same point, adds a zero displacement (which, as this step
+    shows, leaves y_k as it is) and asks the memo for that point again, so
+    the point never moves and no call is made.  With ``s`` = 0 every later row
+    repeats this one but ``K`` and ``k``; with ``s`` > 0 the restart test
+    fires at some large ``k`` and starts an epoch at the same point, after
+    which ``s`` is 0."""
 
     def __init__(self, session: OracleSession, x0: Vector, params: LL2022Params):
         self.session, self.params = session, params
@@ -111,17 +122,18 @@ class _LL2022:
         self.anchors: List[float] = []
         self.s = 0.0
         self.k = self.K = 0
-        self.epoch = 1
+        self.epoch, self.stalled = 1, False
 
     def step(self) -> tuple:
-        p, session = self.params, self.session
+        p, session, base = self.params, self.session, self.base
         k = self.k + 1
         self.K += 1
-        x_new = self.base.x - (1.0 / p.l_f) * self.base.g
+        x_new = base.x - (1.0 / p.l_f) * base.g
         dx = x_new - self.x_prev
         s = self.s + float(dx.dot(dx))
         restart = k * p.m_f * s > p.eps
         y = x_new if restart else x_new + self.momentum * dx
+        self.stalled = s == self.s and not restart and one_point(base.x, self.x_prev, x_new, y)
         self.x_prev = x_new
         self.base = base = session.evaluate(y, value=False)
         self.best = self.best.better(base)

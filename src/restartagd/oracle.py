@@ -66,6 +66,11 @@ def as_point(values, dim: Optional[int] = None) -> Vector:
     return x
 
 
+def one_point(*xs: Vector) -> bool:
+    """Whether the vectors ``xs`` are one point, bit for bit, as the memo keys them."""
+    return len({x.tobytes() for x in xs}) == 1
+
+
 class Evaluated:
     """A point the run evaluated: ``x``, its value ``f`` (``None`` for a
     method that never asks for one), its gradient ``g`` and ``norm`` = ||g||,

@@ -42,7 +42,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .oracle import Evaluated, Objective, OracleError, OracleSession, Vector, as_point
+from .oracle import (Evaluated, Objective, OracleError, OracleSession, Vector, as_point,
+                     one_point)
 from .trace import RunReport, Trace, TraceRecord
 
 M_PRACTICAL = "practical"
@@ -52,6 +53,8 @@ CERTIFY_ON_CANDIDATE = "OnCandidate"
 CERTIFY_EVERY_ITER = "EveryIter"
 
 _EPS = float(np.finfo(np.float64).eps)
+# Rows a stalled run appends between two rounds of the stop checks.
+FILL_ROWS = 1 << 16
 # A measured ratio feeds the curvature estimate only when its numerator
 # exceeds this many units of its own floating-point noise floor; anything
 # smaller is cancellation garbage, not curvature.
@@ -77,9 +80,17 @@ class TerminationPolicy:
     must be set).
 
     Identical evaluation points are memoized, so an iteration whose step is
-    too small to change the iterate costs zero oracle calls; a run given only
-    ``max_oracle_calls`` can therefore spin forever at such a point.  Pair a
-    pure call budget with ``max_iterations`` or ``max_seconds``."""
+    too small to change the iterate costs zero oracle calls.  Once a method
+    reaches such a bitwise fixed point (its step object's ``stalled``), no
+    later iteration moves the point or makes a call, so without
+    ``max_iterations`` the run stops there as ``Stalled``.  With it, the run
+    keeps exactly its budget's rows (``ceil(max_iterations)``, as for any
+    run).  Where every later row repeats the last one but ``K`` and ``k``
+    (``S_k`` is 0), :func:`drive` appends them in blocks of ``FILL_ROWS``
+    instead of stepping, running its stop checks between blocks, so a
+    stalled run given ``max_seconds`` as well ends as ``BudgetExhausted``
+    with exactly the budget's rows unless the clock runs out between two
+    blocks."""
 
     eps: Optional[float] = None
     max_oracle_calls: Optional[int] = None
@@ -226,13 +237,24 @@ class _Proposed:
     step).  ``y_bar`` is the averaged point for the *upcoming* inner index,
     i.e. after iteration k it holds the average of y_0..y_k, whose
     normalizer is Z_{k+1} = (k+2)/2.  ``s`` is S_k, summed with the
-    compensation ``s_comp``."""
+    compensation ``s_comp``.
+
+    ``stalled`` holds after a step that began and ended at one point
+    (y_{k-1}, x_{k-1}, x_k and y_k bitwise equal), left S_k = 0 and evaluated
+    no ȳ, which makes it a ``Step``: a restart evaluates ȳ, and so does a
+    step that reaches ``eps``.  The next step then takes the same gradient
+    step from the same point, its zero displacement leaves y_k (as this
+    step shows), M and S_k as they are, and every request is a memo hit.
+    The progress test needs S_k > 0, and the descent test and the ȳ rule
+    see the same values as before, so every later row repeats this one but
+    ``K`` and ``k``, with no oracle call.  The theoretical variant and
+    ``EveryIter`` evaluate ȳ each step and never stall."""
 
     def __init__(self, session: OracleSession, x0: Vector, params: SolverParams):
         self.session, self.params = session, params
         self.best = start = session.evaluate(x0)
         self.anchors: List[float] = []
-        self.K, self.epoch, self.L, self.M = 0, 0, params.l_init, params.m0
+        self.K, self.epoch, self.L, self.M, self.stalled = 0, 0, params.l_init, params.m0, False
         self._begin_epoch(start)
 
     @property
@@ -255,9 +277,9 @@ class _Proposed:
         self.k = k = self.k + 1
         self.K += 1
         th = k / (k + 1.0)
-        step_L = self.L
+        step_L, base = self.L, self.y
 
-        x_new = self.y.x - (1.0 / step_L) * self.y.g
+        x_new = base.x - (1.0 / step_L) * base.g
         dx = x_new - self.cur.x
         dx2 = float(dx.dot(dx))
         y_new = x_new + th * dx
@@ -298,6 +320,7 @@ class _Proposed:
 
         row = (self.K, self.epoch, k, session.n_oracle, cur.f, monitor,
                None if ybar is None else ybar.norm, step_L, self.M, s, kind)
+        self.stalled = s == 0.0 and ybar is None and one_point(base.x, self.prev.x, x_new, y_new)
 
         # A failed descent test re-anchors at x_{k-1} and raises L; a met
         # progress test re-anchors at x_k and lowers L.  M survives both.
@@ -317,7 +340,13 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     next base point (``Stationary``), ``eps``, the call and iteration budgets
     and the clock.  The rows go column-wise into the report's :class:`Trace`;
     ``observer(method, record)`` sees each as a :class:`TraceRecord` built for
-    it alone.  An :class:`OracleError` (an exception from the objective
+    it alone.  Once the method has ``stalled`` (no later step moves its
+    point or makes an oracle call), a run without ``max_iterations`` stops
+    as ``Stalled``.  Past a stalled row with ``S_k`` = 0 every later row
+    repeats it but ``K`` and ``k``, so a run without an observer appends
+    them with :meth:`Trace.repeat_last` instead of stepping, ``FILL_ROWS``
+    at a time, and sets ``K`` and ``k`` as the steps would; an observer
+    sees every step.  An :class:`OracleError` (an exception from the objective
     included, raised as :class:`~restartagd.oracle.ObjectiveRaised`) or a
     ``KeyboardInterrupt``, which keeps its type, leaves with the run's own
     :class:`Trace` of the rows completed so far as ``exc.partial_trace``.
@@ -350,6 +379,14 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
             if pol.max_seconds is not None and time.perf_counter() - t0 >= pol.max_seconds:
                 reason = "TimeLimit"
                 break
+            if m.stalled:  # no later step moves the point or makes a call
+                if pol.max_iterations is None:
+                    reason = "Stalled"
+                    break
+                if observer is None and trace.S_k[-1] == 0.0:  # rows repeat but K, k
+                    trace.repeat_last(min(FILL_ROWS, math.ceil(pol.max_iterations) - len(trace)))
+                    m.K, m.k = trace.K[-1], trace.k[-1]
+                    continue
 
             row = m.step()
             trace.append(row)
@@ -385,8 +422,9 @@ def run(obj: Objective, x_init, params: SolverParams,
         ) -> RunReport:
     """Minimize ``obj`` from ``x_init``.
 
-    Stops by certified gradient norm, oracle budget, wall clock, or exact
-    stationarity, whichever comes first per the termination policy.  The
+    Stops by certified gradient norm, oracle or iteration budget, wall
+    clock, exact stationarity, or (without an iteration budget) a stall at a
+    bitwise fixed point, whichever comes first per the termination policy.  The
     reported solution is the best point whose gradient the run actually
     evaluated; with certify_mode="EveryIter" (and with the theoretical M
     variant) that pool is the averaged points, the accounting used by the

@@ -14,11 +14,12 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import IO, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-REASONS = ("EpsReached", "BudgetExhausted", "TimeLimit", "Stationary")
+REASONS = ("EpsReached", "BudgetExhausted", "TimeLimit", "Stationary", "Stalled")
 
 # The values of the trace's ``event`` column.
 EVENTS = frozenset(("Step", "RestartSuccessful", "RestartUnsuccessful", "Terminated"))
@@ -112,6 +113,14 @@ class Trace(Sequence):
         add_M(M)
         add_S_k(S_k)
         add_event(event)
+
+    def repeat_last(self, n: int) -> None:
+        """Append ``n`` copies of the last row, with ``K`` and ``k`` counting
+        up from it, a column at a time in ``TRACE_COLUMNS`` order: ``event``,
+        the last, grows last."""
+        for i, column in enumerate(self.columns):
+            last = column[-1]   # columns 0 and 2 are K and k
+            column.extend(range(last + 1, last + n + 1) if i in (0, 2) else repeat(last, n))
 
     def __len__(self) -> int:
         return len(self.K)

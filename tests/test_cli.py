@@ -321,12 +321,14 @@ def test_an_interrupted_serial_grid_keeps_the_finished_cells_rows(tmp_path, monk
 
 
 # Eight cells of 0.2 s each: two run at a time, so an interrupt after the
-# first row leaves most of them queued.
+# first row leaves most of them queued.  The theoretical variant never
+# stalls, so no cell ends before its clock.
 TIMED_GRID_CFG = """
 grid:
   problem: cosine_sum
   dim: 4
   solvers: [proposed]
+  m_variant: theoretical
   l_init: [1.0, 2.0]
   m0: [1.0, 2.0, 3.0, 4.0]
   eps: 0
