@@ -3,8 +3,9 @@
 
 Settings come from an optional YAML config file (sections named after the
 subcommands) overridden by command-line flags; flags always win.  Exit codes:
-0 success, 1 verify found a violated inequality, 2 bad configuration,
-3 the objective produced a non-finite value or gradient.
+0 success, 1 verify found a violated inequality, 2 bad configuration or an
+output path that cannot be written, 3 the objective produced a non-finite
+value or gradient.
 """
 from __future__ import annotations
 
@@ -195,29 +196,22 @@ def _budget(s: dict, key: str) -> Optional[int]:
     return None if s[key] is None else _whole(s, key)
 
 
-def _termination(s: dict) -> agd.TerminationPolicy:
-    try:
-        eps = None if s["eps"] is None else float(s["eps"])
-        return agd.TerminationPolicy(
-            eps=None if eps == 0.0 else eps,  # 0 disables the gradient-norm stop
-            max_oracle_calls=_budget(s, "max_oracle_calls"),
-            max_iterations=_budget(s, "max_iterations"),
-            max_seconds=None if s["max_seconds"] is None else float(s["max_seconds"]),
-            certify_mode=s["certify_mode"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-
-
 def _solve_into(out_dir: str, spec: ProblemSpec, s: dict) -> RunReport:
     """Run the solve ``s`` describes and write its ``trace.csv`` and ``report.json``
     into ``out_dir``; an oracle failure or a ``KeyboardInterrupt`` writes the
     partial trace and re-raises."""
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
-    pol = _termination(s)
-    solver = _solver(s["solver"])
     try:
+        eps = None if s["eps"] is None else float(s["eps"])
+        pol = agd.TerminationPolicy(
+            eps=None if eps == 0.0 else eps,  # 0 disables the gradient-norm stop
+            max_oracle_calls=_budget(s, "max_oracle_calls"),
+            max_iterations=_budget(s, "max_iterations"),
+            max_seconds=None if s["max_seconds"] is None else float(s["max_seconds"]),
+            certify_mode=s["certify_mode"],
+        )
+        solver = _solver(s["solver"])
         params = solver.params(termination=pol, **{
             name: s[key] if name == "m_variant" else float(s[key])
             for name, key in solver.fields.items()})
@@ -489,7 +483,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

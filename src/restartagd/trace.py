@@ -1,9 +1,10 @@
 """Run traces and reports shared by all solvers and the CLI harness.
 
-One row per iteration, a tuple in ``TRACE_COLUMNS`` order (a
-:class:`TraceRecord` names its fields), kept column-wise in a :class:`Trace`,
-and one :class:`RunReport` per run.  The CSV layout is the column order;
-floats are written with ``repr`` so a read-back row equals the original.
+One row per iteration, a tuple in ``TRACE_COLUMNS`` order, which is
+:class:`TraceRecord`'s field order, kept column-wise in a :class:`Trace`, and
+one :class:`RunReport` per run, written as the document ``REPORT_SCHEMA``
+describes.  The CSV layout is the column order; floats are written with
+``repr`` so a read-back row equals the original.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import IO, Iterable, List, Optional, Tuple, Union
 
@@ -23,11 +24,6 @@ REASONS = ("EpsReached", "BudgetExhausted", "TimeLimit", "Stationary", "Stalled"
 
 # The values of the trace's ``event`` column.
 EVENTS = frozenset(("Step", "RestartSuccessful", "RestartUnsuccessful", "Terminated"))
-
-TRACE_COLUMNS = (
-    "K", "epoch", "k", "n_oracle", "f_x", "grad_norm_monitor",
-    "grad_norm_ybar", "L", "M", "S_k", "event",
-)
 
 
 @dataclass
@@ -59,6 +55,7 @@ class TraceRecord:
         return iter(_FIELDS(self))
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 _FIELDS = operator.attrgetter(*TRACE_COLUMNS)
 
 # Each column's ``array`` type code, or None for a list of the objects given.
@@ -297,11 +294,6 @@ def read_trace_csv(path: str) -> Trace:
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
-    "required": [
-        "problem", "solver", "params", "solution", "certified_grad_norm",
-        "total_K", "total_epochs", "n_value", "n_grad", "n_oracle",
-        "reason", "final_L", "final_M", "anchor_values",
-    ],
     "properties": {
         "problem": {"type": "string"},
         "solver": {"type": "string", "enum": ["proposed", "gd", "ll2022"]},
@@ -319,28 +311,22 @@ REPORT_SCHEMA = {
         "anchor_values": {"type": "array", "items": {"type": "number"}},
         "trace_path": {"type": "string"},
     },
-    "additionalProperties": True,
 }
+REPORT_SCHEMA["required"] = [key for key in REPORT_SCHEMA["properties"] if key != "trace_path"]
 
 
 def report_to_dict(report: RunReport, problem: str, solver: str, params: dict,
                    trace_path: Optional[str] = None) -> dict:
-    doc = {
-        "problem": problem,
-        "solver": solver,
-        "params": params,
-        "solution": [float(v) for v in report.solution],
-        "certified_grad_norm": float(report.certified_grad_norm),
-        "total_K": report.total_K,
-        "total_epochs": report.total_epochs,
-        "n_value": report.n_value,
-        "n_grad": report.n_grad,
-        "n_oracle": report.n_oracle,
-        "reason": report.reason,
-        "final_L": float(report.final_L),
-        "final_M": float(report.final_M),
-        "anchor_values": [float(v) for v in report.anchor_values],
-    }
+    """The ``report.json`` document: each key of ``REPORT_SCHEMA`` read from
+    ``report`` as its JSON type (an ``array`` a list of floats, a ``number``
+    a float), but ``problem``, ``solver``, ``params`` and ``trace_path``,
+    which are given; ``trace_path`` is left out when it is None."""
+    doc = {"problem": problem, "solver": solver, "params": params}
+    for key, prop in REPORT_SCHEMA["properties"].items():
+        if key not in doc and key != "trace_path":
+            value = getattr(report, key)
+            doc[key] = ([float(v) for v in value] if prop["type"] == "array"
+                        else float(value) if prop["type"] == "number" else value)
     if trace_path is not None:
         doc["trace_path"] = trace_path
     return doc

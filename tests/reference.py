@@ -1,6 +1,7 @@
 """Reference forms the tests compare the solver's arithmetic and the output
 writers against, and the diagnostics they check runs with: a sampled M
-estimate, the potential function and a finite-difference gradient."""
+estimate, the potential function, a finite-difference gradient and the
+invariants every run keeps (:func:`check_run`)."""
 
 import csv
 import math
@@ -153,6 +154,43 @@ def fd_gradient(obj, x, h=None):
         step[i] = h
         g[i] = (obj.value_fn(x + step) - obj.value_fn(x - step)) / (2.0 * h)
     return g
+
+
+def check_run(rep, obj, identity=None, case=None) -> None:
+    """Assert the invariants every finished run ``rep`` of ``obj`` keeps:
+
+    * a fresh gradient at ``rep.solution`` has norm ``certified_grad_norm``,
+      bit for bit;
+    * the anchor values never increase;
+    * the certified path's norms fall strictly, at call counts that never
+      decrease, and end at ``certified_grad_norm``;
+    * the trace's ``n_oracle`` never decreases and ends at ``rep.n_oracle``;
+    * on a ``proposed`` run the caller marks as free of bitwise fixed points
+      (memo hits are free), the accounting identity: ``identity="practical"``
+      (on-candidate certification) is ``2 + 4 K`` plus one call per row with
+      a ``grad_norm_ybar``, ``identity="every_row"`` (theoretical variant or
+      every-iteration certification) is ``2 + 5 K`` with one on every row.
+
+    ``case`` names the run in a failure's message."""
+    g = obj.grad_fn(rep.solution)
+    assert math.sqrt(float(g @ g)) == rep.certified_grad_norm, case
+    anchors = rep.anchor_values
+    assert all(b <= a for a, b in zip(anchors, anchors[1:])), case
+    calls, norms = rep.certified
+    assert all(b < a for a, b in zip(norms, norms[1:])), case
+    assert all(b >= a for a, b in zip(calls, calls[1:])), case
+    assert norms[-1] == rep.certified_grad_norm, case
+    ns = rep.trace.n_oracle
+    assert all(b >= a for a, b in zip(ns, ns[1:])), case
+    assert ns[-1] == rep.n_oracle, case
+    ybar_rows = len(ns) - rep.trace.grad_norm_ybar.count(None)
+    if identity == "practical":
+        assert rep.n_oracle == 2 + 4 * rep.total_K + ybar_rows, case
+    elif identity == "every_row":
+        assert rep.n_oracle == 2 + 5 * rep.total_K, case
+        assert ybar_rows == len(ns), case
+    else:
+        assert identity is None, identity
 
 
 class PlainTraceWriter:

@@ -3,9 +3,10 @@
 Each test here exercises a whole-run behavior the package promises: the
 robustness grid on Rosenbrock, estimate caps over long trajectories, the
 inequality sweeps, averaging equivalence, the oracle-complexity trend, the
-matrix-completion benchmark, exact call accounting, and anchor monotonicity.
-Shared runs live in module-scoped fixtures so each trajectory is computed
-once.  Every test prints a one-line summary (visible under ``pytest -s``)."""
+matrix-completion benchmark, exact call accounting, and the invariants of
+every run (``reference.check_run``).  Shared runs live in module-scoped
+fixtures so each trajectory is computed once.  Every test prints a one-line
+summary (visible under ``pytest -s``)."""
 
 import time
 
@@ -17,7 +18,7 @@ from restartagd import (GdParams, LL2022Params, NonFiniteGradient,
                         gd_run, ll2022_run, make_problem, run)
 from restartagd.checks import (check_descent_lemma, check_jensen_gradient,
                                check_trapezoid)
-from reference import theta, update_average
+from reference import check_run, theta, update_average
 
 L_GRID = (1e2, 1e3, 1e4)
 M_GRID = (1.0, 10.0, 100.0)
@@ -310,43 +311,43 @@ def test_oracle_counts_reconcile_exactly(grid):
     # Practical variant with on-candidate certification: 2 start-up
     # evaluations, 4 per iteration, plus one for each trace row that carries
     # an averaged-point gradient.
+    prob = make_problem("rosenbrock")
     for key, rep in grid["proposed"].items():
-        certs = sum(1 for rec in rep.trace if rec.grad_norm_ybar is not None)
-        assert rep.n_oracle == 2 + 4 * rep.total_K + certs, key
+        check_run(rep, prob.objective, identity="practical", case=key)
     # Theoretical variant and every-iteration certification both add exactly
     # one gradient per iteration.
-    prob = make_problem("rosenbrock")
     term = TerminationPolicy(eps=1e-6, max_oracle_calls=1_000_000)
     rep = run(prob.objective, prob.x_init,
               SolverParams(l_init=1e2, m0=1.0, m_variant="theoretical",
                            termination=term))
     assert rep.reason == "EpsReached"
-    assert rep.n_oracle == 2 + 5 * rep.total_K
+    check_run(rep, prob.objective, identity="every_row")
     term = TerminationPolicy(eps=1e-6, max_oracle_calls=1_000_000,
                              certify_mode="EveryIter")
     rep = run(prob.objective, prob.x_init,
               SolverParams(l_init=1e2, m0=1.0, termination=term))
     assert rep.reason == "EpsReached"
-    assert rep.n_oracle == 2 + 5 * rep.total_K
+    check_run(rep, prob.objective, identity="every_row")
     print("accounting: 2 + 4K + certs (practical) and 2 + 5K "
           "(theoretical / every-iteration) reconcile exactly")
 
 
 # ---------------------------------------------------------------------------
-# anchor monotonicity across everything above
+# run invariants, anchor monotonicity among them, across everything above
 
 
 def test_anchor_values_never_increase_in_any_run(grid, cosine_long,
                                                  dominant_start, trend,
                                                  matcomp):
-    reports = list(grid["proposed"].values()) + list(grid["gd"].values())
-    reports += list(cosine_long.values()) + list(dominant_start.values())
-    reports += [trend["proposed"][0], trend["gd"][0]]
-    reports += [matcomp["cert"], matcomp["prop"], matcomp["gd"]]
+    rosenbrock = make_problem("rosenbrock").objective
+    cosine = make_problem("cosine_sum", seed=0, dim=10).objective
+    reports = [(rep, rosenbrock) for rep in [*grid["proposed"].values(), *grid["gd"].values()]]
+    reports += [(rep, cosine) for rep in [*cosine_long.values(), *dominant_start.values(),
+                                          trend["proposed"][0], trend["gd"][0]]]
+    reports += [(matcomp[key], matcomp["problem"].objective) for key in ("cert", "prop", "gd")]
     checked = 0
-    for rep in reports:
-        values = rep.anchor_values
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        checked += len(values)
+    for i, (rep, obj) in enumerate(reports):
+        check_run(rep, obj, case=i)
+        checked += len(rep.anchor_values)
     print(f"anchors: nonincreasing across {len(reports)} runs "
           f"({checked} anchor values)")

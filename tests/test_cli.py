@@ -693,6 +693,39 @@ def test_plot_draws_extreme_finite_values(tmp_path, case):
     assert "nan" not in text and "inf" not in text     # every coordinate finite
 
 
+def test_plot_draws_an_empty_trace(tmp_path):
+    # A run that fails at its first evaluation leaves a header-only trace:
+    # both panels are drawn, on their default axes, with no line in them.
+    path = tmp_path / "run" / "trace.csv"
+    path.parent.mkdir()
+    write_trace_csv(str(path), [])
+    svg = tmp_path / "t.svg"
+    assert main(["plot", str(path), "--out", str(svg)]) == 0
+    text = svg.read_text(encoding="utf-8")
+    assert text.count('fill="none" stroke="#444" stroke-width="1"/>') == 2
+    assert ">objective value</text>" in text and ">gradient norm</text>" in text
+    assert "<polyline" not in text
+
+
+# ---------------------------------------------------------------------------
+# an output path that cannot be written
+
+
+@pytest.mark.parametrize("command", ["run", "grid", "plot"])
+def test_an_out_under_a_regular_file_exits_2_with_one_error_line(tmp_path, capsys, command):
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(str(trace), [])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {"run": ["run", "--problem", "quadratic", "--max-iterations", "3"],
+            "grid": ["grid"], "plot": ["plot", str(trace)]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert blocker.read_text() == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

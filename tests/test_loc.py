@@ -37,3 +37,10 @@ def test_every_module_of_the_package_is_counted(capsys):
     total = lines[-1].split()
     assert total[0] == "total"
     assert int(total[1]) == sum(int(line.split()[1]) for line in lines[1:-1])
+
+
+def test_the_package_stays_within_its_line_budget(capsys):
+    loc.main()
+    code = int(capsys.readouterr().out.splitlines()[-1].split()[2])
+    assert code <= 1500, (f"{code} code lines in src/restartagd, over the 1,500 of "
+                          "ROADMAP item 5: cut as many lines as a change adds")

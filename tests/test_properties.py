@@ -11,7 +11,7 @@ import pytest
 
 from restartagd import (GdParams, LL2022Params, SolverParams,
                         TerminationPolicy, gd_run, ll2022_run, make_problem, run)
-from reference import THETA0, potential, theta
+from reference import THETA0, check_run, potential, theta
 
 
 def solve(problem_name, *, seed=0, dim=10, observer=None, **params):
@@ -260,6 +260,8 @@ _SWEEP_SOLVERS = {
     "ll2022": lambda obj, x0, pol: ll2022_run(obj, x0, LL2022Params(
         l_f=2.0 * (obj.known_L or 5.0), termination=pol)),
 }
+# The accounting identity each proposed variant of the sweep keeps.
+_IDENTITY = {"practical": "practical", "theoretical": "every_row", "every_iter": "every_row"}
 _SWEEP_PROBLEMS = (
     [(name, {"dim": dim, "seed": seed}) for name in ("quadratic", "cosine_sum")
      for dim in (1, 3, 17) for seed in range(5)]
@@ -279,27 +281,17 @@ def test_seeded_sweep_certificates_anchors_and_accounting():
             case = f"{name} {kw} {solver}"
             rep = solve(obj, spec.x_init, pol)
             ends[rep.reason] += 1
-            # The certificate is a gradient evaluated at the returned point.
-            g = obj.grad_fn(rep.solution)
-            assert math.sqrt(float(g @ g)) == rep.certified_grad_norm, case
-            anchors = rep.anchor_values
-            assert all(b <= a for a, b in zip(anchors, anchors[1:])), case
-            # The certified path: from the start, strictly falling norms at
-            # nondecreasing call counts, ending at the reported norm.
+            # Only certified runs reconcile: a budget stop may sit at a fixed
+            # point, where memo hits are free.
+            certified = rep.reason == "EpsReached"
+            check_run(rep, obj, identity=_IDENTITY.get(solver) if certified else None,
+                      case=case)
+            # The certified path starts at the start point.
             calls, norms = rep.certified
             assert calls[0] == (1 if solver == "ll2022" else 2), case
             assert norms[0] == math.sqrt(float(g0 @ g0)), case
-            assert all(b < a for a, b in zip(norms, norms[1:])), case
-            assert all(b >= a for a, b in zip(calls, calls[1:])), case
-            assert norms[-1] == rep.certified_grad_norm, case
-            if rep.reason != "EpsReached":
-                continue
-            first = next(c for c, norm in zip(calls, norms) if norm <= eps)
-            assert first == rep.n_oracle, case
-            if solver == "practical":
-                ybar_rows = sum(r.grad_norm_ybar is not None for r in rep.trace)
-                assert rep.n_oracle == 2 + 4 * rep.total_K + ybar_rows, case
-            elif solver in ("theoretical", "every_iter"):
-                assert rep.n_oracle == 2 + 5 * rep.total_K, case
+            if certified:
+                first = next(c for c, norm in zip(calls, norms) if norm <= eps)
+                assert first == rep.n_oracle, case
     # The sweep exercises both certified stops and budget stops.
     assert ends["EpsReached"] >= 30 and ends["BudgetExhausted"] >= 30, dict(ends)

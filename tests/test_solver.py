@@ -20,7 +20,7 @@ from restartagd.oracle import Evaluated, l2_norm
 from restartagd.solver import (_fold_average_exact, _Proposed,
                                descent_condition_holds, drive,
                                restart2_triggered, update_m)
-from reference import theta, update_average, update_m_eager
+from reference import check_run, theta, update_average, update_m_eager
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +413,7 @@ def test_practical_run_accounting():
     rep = run(spec.objective, spec.x_init,
               SolverParams(termination=TerminationPolicy(eps=1e-6,
                                                          max_iterations=6)))
-    certs = sum(r.grad_norm_ybar is not None for r in rep.trace)
-    assert rep.n_oracle == 2 + 4 * rep.total_K + certs
+    check_run(rep, spec.objective, identity="practical")
 
 
 def test_theoretical_run_accounting():
@@ -422,8 +421,7 @@ def test_theoretical_run_accounting():
     rep = run(spec.objective, spec.x_init,
               SolverParams(m_variant="theoretical",
                            termination=TerminationPolicy(max_iterations=4)))
-    assert rep.n_oracle == 2 + 5 * rep.total_K
-    assert all(r.grad_norm_ybar is not None for r in rep.trace)
+    check_run(rep, spec.objective, identity="every_row")
 
 
 def test_every_iter_mode_certifies_each_row():
@@ -431,8 +429,7 @@ def test_every_iter_mode_certifies_each_row():
     rep = run(spec.objective, spec.x_init,
               SolverParams(termination=TerminationPolicy(
                   max_iterations=5, certify_mode="EveryIter")))
-    assert rep.n_oracle == 2 + 5 * rep.total_K
-    assert all(r.grad_norm_ybar is not None for r in rep.trace)
+    check_run(rep, spec.objective, identity="every_row")
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +446,7 @@ def test_trace_counters_are_consistent():
     assert all(r.k >= 1 for r in rep.trace)
     epochs = [r.epoch for r in rep.trace]
     assert all(b - a in (0, 1) for a, b in zip(epochs, epochs[1:]))
-    ns = [r.n_oracle for r in rep.trace]
-    assert all(b >= a for a, b in zip(ns, ns[1:]))
-    assert rep.n_oracle == ns[-1]
+    check_run(rep, spec.objective)
 
 
 def test_first_displacement_matches_gradient_step():
@@ -481,9 +476,8 @@ def test_anchor_values_never_increase():
               SolverParams(termination=TerminationPolicy(
                   eps=1e-4, max_oracle_calls=100_000)))
     assert rep.reason == "EpsReached"
-    vals = rep.anchor_values
-    assert len(vals) >= 2
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    assert len(rep.anchor_values) >= 2
+    check_run(rep, spec.objective)
 
 
 def test_stationary_stop_ends_the_certified_path():
