@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .oracle import Objective, ObjectiveRaised, OracleSession, Vector, one_point
+from .oracle import Evaluated, Objective, ObjectiveRaised, OracleSession, Vector, one_point
 from .solver import DEFAULT_TERMINATION, ParamError, TerminationPolicy, check_finite, drive
 from .trace import RunReport
 
@@ -52,7 +52,7 @@ class _Gd:
         x_trial = base.x - (1.0 / trial_L) * base.g
         f_trial = session.value(x_trial)
         if f_trial <= base.f - base.norm * base.norm / (2.0 * trial_L):
-            self.base = base = session.evaluate(x_trial)
+            self.base = base = Evaluated(x_trial, f_trial, session.grad(x_trial), session.grad_norm)
             self.best = self.best.better(base)
             self.anchors.append(f_trial)
             self.accepted += 1
@@ -120,9 +120,7 @@ class _LL2022:
         self.x_prev = x0
         self.base = self.best = session.evaluate(x0, value=False)
         self.anchors: List[float] = []
-        self.s = 0.0
-        self.k = self.K = 0
-        self.epoch, self.stalled = 1, False
+        self.s, self.k, self.K, self.epoch, self.stalled = 0.0, 0, 0, 1, False
 
     def step(self) -> tuple:
         p, session, base = self.params, self.session, self.base

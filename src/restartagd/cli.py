@@ -126,9 +126,7 @@ def _load_config(path: Optional[str], section: str) -> dict:
         return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    sec = doc.get(section, {})
-    if sec is None:
-        sec = {}
+    sec = {} if doc.get(section) is None else doc[section]
     if not isinstance(sec, dict):
         raise ConfigError(f"{path}: section {section!r} must be a mapping")
     return sec
@@ -265,7 +263,6 @@ def _grid_worker(payload: dict) -> dict:
         "m0": "" if s["m0"] is None else repr(float(s["m0"])),
         "reason": "", "certified_grad_norm": "", "n_oracle": "", "error": "",
     }
-    thresholds = payload["thresholds"]
     try:
         report = _solve_into(payload["cell_dir"], spec, s)
     except OracleError as exc:
@@ -275,7 +272,7 @@ def _grid_worker(payload: dict) -> dict:
     row["certified_grad_norm"] = repr(float(report.certified_grad_norm))
     row["n_oracle"] = str(report.n_oracle)
     calls, norms = report.certified
-    for thr in thresholds:
+    for thr in payload["thresholds"]:
         hit = next((c for c, norm in zip(calls, norms) if norm <= thr), None)
         row[_thr_col(thr)] = "" if hit is None else str(hit)
     return row

@@ -99,14 +99,11 @@ class MatrixCompletionInstance:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError("matrix shape must be positive")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        vals = np.asarray(self.vals, dtype=np.float64)
+        for name, dtype in (("rows", np.int64), ("cols", np.int64), ("vals", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        rows, cols, vals = self.rows, self.cols, self.vals
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, vals must be 1-D arrays of equal length")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
         if rows.size:
             if rows.min() < 0 or rows.max() >= self.p:
                 raise ValueError("row index out of range")
@@ -223,10 +220,7 @@ def load_movielens_100k(path: str) -> MatrixCompletionInstance:
             if len(parts) != 4:
                 raise ParseError(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
             try:
-                user = int(parts[0])
-                item = int(parts[1])
-                rating = float(parts[2])
-                int(parts[3])
+                user, item, rating, _ = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             if not (1 <= user <= p):
@@ -236,12 +230,7 @@ def load_movielens_100k(path: str) -> MatrixCompletionInstance:
             rows.append(user - 1)
             cols.append(item - 1)
             vals.append(rating)
-    return MatrixCompletionInstance(
-        p=p, q=q,
-        rows=np.array(rows, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
-        vals=np.array(vals, dtype=np.float64),
-    )
+    return MatrixCompletionInstance(p=p, q=q, rows=rows, cols=cols, vals=vals)  # made arrays there
 
 
 def synthetic_completion_instance(p: int = 100, q: int = 80, rank: int = 5,

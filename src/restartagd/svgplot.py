@@ -31,19 +31,15 @@ def _escape(text: str) -> str:
 def _nice_step(span: float, target: int = 5) -> float:
     raw = span / max(target, 1)
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if mag * mult >= raw:
-            return mag * mult
-    return mag * 10.0
+    return next((mag * mult for mult in (1.0, 2.0, 5.0) if mag * mult >= raw), mag * 10.0)
 
 
 def _linear_ticks(lo: float, hi: float) -> List[float]:
     if hi <= lo:
         return [lo]
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= min(hi + 1e-12 * step, sys.float_info.max):   # t ends finite
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
@@ -53,12 +49,7 @@ def _linear_ticks(lo: float, hi: float) -> List[float]:
 def _fmt_num(v: float) -> str:
     if v == 0:
         return "0"
-    a = abs(v)
-    if 1e-3 <= a < 1e5:
-        s = f"{v:.4g}"
-    else:
-        s = f"{v:.1e}"
-    return s
+    return f"{v:.4g}" if 1e-3 <= abs(v) < 1e5 else f"{v:.1e}"
 
 
 def _panel(out: List[str], x0: float, y0: float, series, logy: bool,
@@ -153,13 +144,12 @@ def render_traces_svg(series: Sequence[Tuple[str, Iterable[TraceRecord]]],
     ``_MAX_POINTS + 1`` a series, become Python floats."""
     width = _MARGIN_L + _PANEL_W + _MARGIN_R
     height = _MARGIN_T + 2 * (_PANEL_H + _MARGIN_B) + 26
-    out: List[str] = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
-    out.append('<style>text{font-family:sans-serif}.tick{font-size:11px;fill:#333}'
-               '.label{font-size:13px;fill:#111}.title{font-size:15px;fill:#111}'
-               '.legend{font-size:12px;fill:#111}</style>')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" viewBox="0 0 {width} {height}">',
+           '<style>text{font-family:sans-serif}.tick{font-size:11px;fill:#333}'
+           '.label{font-size:13px;fill:#111}.title{font-size:15px;fill:#111}'
+           '.legend{font-size:12px;fill:#111}</style>',
+           f'<rect width="{width}" height="{height}" fill="white"/>']
     if title:
         out.append(f'<text x="{width / 2}" y="20" text-anchor="middle" class="title">'
                    f'{_escape(title)}</text>')
@@ -177,8 +167,7 @@ def render_traces_svg(series: Sequence[Tuple[str, Iterable[TraceRecord]]],
            logy=True, y_label="gradient norm", x_label="oracle calls")
 
     # legend across the top, under the title
-    lx = _MARGIN_L
-    ly = _MARGIN_T - 8
+    lx, ly = _MARGIN_L, _MARGIN_T - 8
     for label, _trace, color in colored:
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
@@ -191,5 +180,4 @@ def render_traces_svg(series: Sequence[Tuple[str, Iterable[TraceRecord]]],
 
 def write_traces_svg(path: str, series, title: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_traces_svg(series, title=title))
-        fh.write("\n")
+        fh.write(render_traces_svg(series, title=title) + "\n")

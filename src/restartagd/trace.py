@@ -8,14 +8,13 @@ describes.  The CSV layout is the column order; floats are written with
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import islice, repeat
 from typing import IO, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -76,7 +75,9 @@ class Trace(Sequence):
     row holding the previous row's object (an epoch's ``L``, an unchanged
     ``M``) adds only a reference.  A row takes 88 B plus the columns' growth
     slack, against about 310 B as a record.  ``columns`` holds the eleven
-    columns in ``TRACE_COLUMNS`` order.
+    columns in ``TRACE_COLUMNS`` order.  ``filled`` is the range
+    ``(start, stop)`` of rows the last :meth:`repeat_last` calls appended,
+    ``(0, 0)`` before any.
 
     ``append`` takes a row, a tuple or a record; ``Trace(rows)`` packs any
     iterable of them.  Read, it behaves as a list of records: iteration and
@@ -85,13 +86,14 @@ class Trace(Sequence):
     NaN equals a NaN, so a trace with a NaN equals its own read-back.
     """
 
-    __slots__ = TRACE_COLUMNS + ("columns", "_appends")
+    __slots__ = TRACE_COLUMNS + ("columns", "_appends", "filled")
 
     def __init__(self, rows: Iterable[tuple] = ()):
         self.columns = tuple(array(code) if code else [] for code in _TYPECODES)
         for name, column in zip(TRACE_COLUMNS, self.columns):
             setattr(self, name, column)
         self._appends = tuple(column.append for column in self.columns)
+        self.filled = (0, 0)
         for row in rows:
             self.append(row)
 
@@ -114,10 +116,16 @@ class Trace(Sequence):
     def repeat_last(self, n: int) -> None:
         """Append ``n`` copies of the last row, with ``K`` and ``k`` counting
         up from it, a column at a time in ``TRACE_COLUMNS`` order: ``event``,
-        the last, grows last."""
+        the last, grows last.  Then ``filled`` becomes the range of the new
+        rows, or is extended by it when the last fill ended where this one
+        starts.  It is set only once every column has grown, so a fill cut
+        short (by Ctrl-C) leaves the range of an earlier, complete one."""
+        start = len(self)
         for i, column in enumerate(self.columns):
             last = column[-1]   # columns 0 and 2 are K and k
             column.extend(range(last + 1, last + n + 1) if i in (0, 2) else repeat(last, n))
+        first, stop = self.filled
+        self.filled = (first if stop == start else start, start + n)
 
     def __len__(self) -> int:
         return len(self.K)
@@ -168,11 +176,17 @@ class RunReport:
         return self.n_value + self.n_grad
 
 
-# One trace row as ``csv.writer`` would write it, the six floats given as
-# their ``repr`` texts, with ``\r\n`` line ends.  No field ever needs quoting,
-# since numbers never hold a comma, a quote or a line break and the names in
-# ``EVENTS`` are a fixed set without them.
-_ROW = "%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\r\n"
+# The header, without its line end, and one trace row as ``csv.writer`` would
+# write them, the six floats given as their ``repr`` texts, with ``\r\n`` line
+# ends.  No field ever needs quoting, since names and numbers never hold a
+# comma, a quote or a line break and the names in ``EVENTS`` are a fixed set
+# without them.
+_HEADER = ",".join(TRACE_COLUMNS)
+_TAIL = "%d,%s,%s,%s,%s,%s,%s,%s\r\n"   # the fields after ``k``
+_ROW = "%d,%d,%d," + _TAIL
+
+# Filled rows written at a time.
+_FILL_BLOCK = 4096
 
 # Anchors whose text :func:`write_report_json` builds and writes at a time.
 _PIECE = 128
@@ -180,8 +194,8 @@ _PIECE = 128
 
 class TraceWriter:
     """Writes trace rows to a CSV file: the header, flushed, when built, then
-    the rows of each :meth:`add_rows` call, one ``write`` a row;
-    :meth:`close` flushes them.
+    the rows of each :meth:`add_rows` call, one ``write`` a row but for a
+    :class:`Trace`'s ``filled`` rows; :meth:`close` flushes them.
 
     A float field is written as ``repr(float(v))``, and a missing
     ``grad_norm_ybar`` (``None``) as an empty field.  Most float fields
@@ -191,11 +205,16 @@ class TraceWriter:
     from the previous row's; a zero of the other sign counts as different,
     and a NaN, equal to nothing, is formatted every row.  The last values
     and their texts carry over to the next call, so rows added one call at a
-    time share texts too."""
+    time share texts too.
+
+    A filled row repeats the row before it but ``K`` and ``k``, which count
+    up, so the filled rows are written from one line text, the last row's
+    with ``K`` and ``k`` left open, ``_FILL_BLOCK`` rows a ``write``, and
+    no float is formatted for them."""
 
     def __init__(self, out: IO[str]):
         self._out = out
-        csv.writer(out).writerow(TRACE_COLUMNS)
+        self._out.write(_HEADER + "\r\n")
         self._out.flush()
         # The last row's value and text of f_x, grad_norm_monitor,
         # grad_norm_ybar, L, M and S_k: any value with its own text will do.
@@ -205,7 +224,17 @@ class TraceWriter:
         """Write rows, each the eleven field values in ``TRACE_COLUMNS``
         order (a tuple or a record), or every row of a :class:`Trace`."""
         if isinstance(rows, Trace):
-            rows = zip(*rows.columns)
+            (start, stop), columns = rows.filled, rows.columns
+            if stop:   # the rows before the fill, the fill, then the rows after it
+                self.add_rows(islice(zip(*columns), start))
+                i, write, K, k = start - 1, self._out.write, rows.K, rows.k
+                tail = _TAIL % (rows.n_oracle[i], *self._last[1::2], rows.event[i])
+                line = "%%d,%d,%%d," % rows.epoch[i] + tail.replace("%", "%%")
+                for j in range(start, stop, _FILL_BLOCK):
+                    end = min(j + _FILL_BLOCK, stop)
+                    write("".join(map(line.__mod__, zip(K[j:end], k[j:end]))))
+                columns = [column[stop:] for column in columns]
+            rows = zip(*columns)
         write, sign = self._out.write, math.copysign
         f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1 = self._last
         for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
@@ -231,35 +260,54 @@ class TraceWriter:
 
 def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:
     """Write ``rows`` (a :class:`Trace` or any iterable of rows or records)
-    as a trace CSV, with one flush at the end."""
+    as a trace CSV, flushed when the file closes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = TraceWriter(fh)
-        w.add_rows(rows)
-        w.close()
+        TraceWriter(fh).add_rows(rows)
 
 
 def read_trace_csv(path: str) -> Trace:
     """Read a trace CSV back into a :class:`Trace`, filling its columns
-    directly.  A row that is not exactly ``len(TRACE_COLUMNS)`` fields wide
-    (the cut last line of a killed write, say), holds a malformed number or
-    an event not in ``EVENTS`` raises ``ValueError`` naming its line.
+    directly.  Fields are split at commas, as the writer, which never quotes
+    one, leaves them; CRLF and LF line ends both read.  A row that
+    is not exactly ``len(TRACE_COLUMNS)`` fields wide (the cut last line of a
+    killed write, or a quoted field holding a comma), holds a malformed
+    number (a quoted one, say) or an event not in ``EVENTS`` raises
+    ``ValueError`` naming its line.
 
-    A float field whose text repeats the previous row's is not parsed again:
-    it holds the previous row's float, as the run's own trace holds one
-    object for an epoch's ``L``.  Equal text is equal bits, so this reads
-    every field exactly as ``float`` would."""
+    A row whose ``epoch`` and text after ``k`` equal the previous row's, and
+    whose ``K`` and ``k`` are each one higher, repeats it: such rows are
+    counted and appended together by :meth:`Trace.repeat_last`, so a
+    stalled run reads back with its ``filled`` range.  Any other row is
+    parsed field by field, and a float field whose text repeats the previous
+    row's is not parsed again: it holds the previous row's float, as the
+    run's own trace holds one object for an epoch's ``L``.  Equal text is
+    equal bits, so either way every field reads exactly as ``int`` and
+    ``float`` would read it."""
     trace = Trace()
     (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
      add_L, add_M, add_S_k, add_event) = trace._appends
     # The last row's text of each float field; None matches no text.
     f_text = g_text = y_text = L_text = M_text = S_text = None
+    # The last row's K, k, epoch text and text after k.  A line holds a line
+    # break only at its end, so none repeats the "row" before the first.
+    K = k = repeats = 0
+    epoch = tail = "\n"
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRACE_COLUMNS):
+        header = fh.readline()
+        if header.rstrip("\r\n") != _HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
         try:
-            for K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row, event in reader:
+            for line_num, line in enumerate(fh, 2):
+                K, k = K + 1, k + 1
+                if line == f"{K},{epoch},{k},{tail}":
+                    repeats += 1
+                    continue
+                if repeats:
+                    trace.repeat_last(repeats)
+                    repeats = 0
+                (K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row,
+                 event) = line.rstrip("\r\n").split(",")
+                K, k, tail = int(K), int(k), line.split(",", 3)[3]
                 if f_row != f_text:
                     f_x, f_text = float(f_row), f_row
                 if g_row != g_text:
@@ -275,9 +323,9 @@ def read_trace_csv(path: str) -> Trace:
                 name = _EVENT_NAMES.get(event)
                 if name is None:
                     raise ValueError(f"unknown event {event!r}")
-                add_K(int(K))
+                add_K(K)
                 add_epoch(int(epoch))
-                add_k(int(k))
+                add_k(k)
                 add_n_oracle(int(n_oracle))
                 add_f_x(f_x)
                 add_monitor(monitor)
@@ -287,7 +335,9 @@ def read_trace_csv(path: str) -> Trace:
                 add_S_k(S_k)
                 add_event(name)
         except ValueError as exc:
-            raise ValueError(f"bad trace row at line {reader.line_num}: {exc}") from None
+            raise ValueError(f"bad trace row at line {line_num}: {exc}") from None
+    if repeats:
+        trace.repeat_last(repeats)
     return trace
 
 

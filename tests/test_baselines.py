@@ -6,8 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from restartagd import (GdParams, LL2022Params, NonFiniteGradient, ParamError,
-                        TerminationPolicy, Trace, gd_run, ll2022_run,
+from restartagd import (GdParams, LL2022Params, NonFiniteGradient, OracleSession,
+                        ParamError, TerminationPolicy, Trace, gd_run, ll2022_run,
                         make_problem, quadratic)
 from reference import check_run
 
@@ -75,6 +75,19 @@ def test_gd_oracle_accounting():
     accepted = rep.trace[-1].k
     assert rep.n_value == 1 + rep.total_K
     assert rep.n_grad == 1 + accepted
+
+
+def test_gd_asks_for_each_value_once(monkeypatch):
+    # The start and each trial ask ``value`` once; an accepted trial keeps
+    # the value it was tested with instead of asking the memo again.
+    asked = []
+    value = OracleSession.value
+    monkeypatch.setattr(OracleSession, "value", lambda self, x: asked.append(1) or value(self, x))
+    spec = make_problem("rosenbrock")
+    rep = gd_run(spec.objective, spec.x_init, GdParams(
+        l_init=100.0, termination=TerminationPolicy(max_iterations=300)))
+    assert {"Step", "RestartUnsuccessful"} <= set(rep.trace.event)
+    assert len(asked) == rep.n_value == 1 + rep.total_K
 
 
 def test_gd_lucky_start_hits_exact_minimizer():

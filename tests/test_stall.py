@@ -192,6 +192,37 @@ def test_repeat_last_counts_K_and_k_up_and_repeats_the_rest():
     assert type(trace.L[-1]) is int
 
 
+def test_repeat_last_records_the_range_it_filled():
+    row = (1, 1, 1, 4, -1.0, 0.5, None, 2, 1.0, 0.0, "Step")
+    trace = Trace([row, row])
+    assert trace.filled == (0, 0)
+    trace.repeat_last(3)
+    assert trace.filled == (2, 5)
+    trace.repeat_last(2)    # a fill where the last one ended extends its range
+    trace.repeat_last(0)
+    assert trace.filled == (2, 7)
+    trace.append(row)
+    trace.repeat_last(4)    # one after a stepped row starts a range of its own
+    assert trace.filled == (8, 12)
+    trace.append(row)
+    trace.repeat_last(0)
+    assert trace.filled == (13, 13) and len(trace) == 13
+
+
+def test_a_fill_cut_short_keeps_the_range_of_the_last_whole_one():
+    trace = Trace([(1, 1, 1, 4, -1.0, 0.5, None, 2, 1.0, 0.0, "Step")])
+    trace.repeat_last(3)
+
+    class Cut(list):
+        def extend(self, values):
+            raise KeyboardInterrupt
+
+    trace.columns = trace.columns[:-1] + (Cut(trace.event),)
+    with pytest.raises(KeyboardInterrupt):
+        trace.repeat_last(5)    # every column but ``event`` has grown
+    assert trace.filled == (1, 4)
+
+
 def test_a_stalled_cli_run_reports_stalled(tmp_path):
     out = str(tmp_path / "run")
     assert cli.main(["run", "--problem", "cosine_sum", "--eps", "0",

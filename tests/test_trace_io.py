@@ -310,9 +310,11 @@ def test_a_record_iterates_as_its_row_in_column_order():
         assert TraceRecord(*rec) == rec
 
 
-def _columns(trace):
-    # Float arrays compare by their bits, so a NaN equals its own copy.
-    return [c.tobytes() if isinstance(c, array) else c for c in trace.columns]
+def _bits(trace):
+    """Every field of ``trace`` as its type and bits, NaN payloads included."""
+    return [c.tobytes() if isinstance(c, array) else
+            [(type(v), v if v is None or isinstance(v, str) else struct.pack("<d", v))
+             for v in c] for c in trace.columns]
 
 
 def test_a_trace_of_rows_equals_the_trace_of_the_equal_records(tmp_path):
@@ -323,12 +325,12 @@ def test_a_trace_of_rows_equals_the_trace_of_the_equal_records(tmp_path):
     recs = [TraceRecord(*row) for row in rows]
     from_rows, from_recs = Trace(rows), Trace(recs)
     # A NaN read from a float array is a new object, which no record equals.
-    assert _columns(from_rows) == _columns(from_recs) and from_rows[0] == recs[0]
+    assert _bits(from_rows) == _bits(from_recs) and from_rows[0] == recs[0]
     assert type(from_rows.L[0]) is int and from_rows.grad_norm_ybar[0] is None
     # Appending mixes the two shapes; writing takes either.
     from_rows.append(recs[0])
     from_recs.append(rows[0])
-    assert _columns(from_rows) == _columns(from_recs)
+    assert _bits(from_rows) == _bits(from_recs)
     path_rows, path_recs = tmp_path / "rows.csv", tmp_path / "recs.csv"
     write_trace_csv(str(path_rows), rows)
     write_trace_csv(str(path_recs), recs)
@@ -393,12 +395,24 @@ def _split(rows, rng):
 
 def _assert_written_alike(rows, rng):
     """Every way of handing ``rows`` to the writer gives the reference
-    bytes: a Trace, tuples, records, a generator, one row a call, chunks."""
+    bytes: a Trace, tuples, records, a generator, one row a call, chunks.
+    When ``rows`` is a Trace with ``filled`` rows, the writer also gets that
+    Trace itself, and its fill in a Trace of its own (the filled rows and
+    the row they repeat) between random chunks of the other rows."""
+    trace = rows if isinstance(rows, Trace) else None
+    if trace is not None:
+        rows = list(zip(*trace.columns))
     want = _csv(PlainTraceWriter, [rows])
     records = [TraceRecord(*row) for row in rows]
-    for chunks in ([Trace(rows)], [rows], [records], [iter(rows)],
-                   [[row] for row in rows], _split(rows, rng),
-                   [Trace(chunk) for chunk in _split(records, rng)]):
+    ways = [[Trace(rows)], [rows], [records], [iter(rows)],
+            [[row] for row in rows], _split(rows, rng),
+            [Trace(chunk) for chunk in _split(records, rng)]]
+    if trace is not None and trace.filled[1]:
+        start, stop = trace.filled
+        fill = Trace(rows[start - 1:start])
+        fill.repeat_last(stop - start)
+        ways += [[trace], _split(rows[:start - 1], rng) + [fill] + _split(rows[stop:], rng)]
+    for chunks in ways:
         assert _csv(TraceWriter, chunks) == want
 
 
@@ -467,6 +481,159 @@ def test_rows_added_one_call_at_a_time_across_a_block_boundary(tmp_path):
     write_trace_csv(str(path), rows)
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
     assert path.read_bytes() == _reference_csv([TraceRecord(*r) for r in rows]).encode("utf-8")
+
+
+def _grown(rows, *steps):
+    """A Trace of ``rows`` grown by ``steps``: a number ``n`` appends ``n``
+    rows with ``repeat_last``, a tuple appends that row."""
+    trace = Trace(rows)
+    for step in steps:
+        if isinstance(step, int):
+            trace.repeat_last(step)
+        else:
+            trace.append(step)
+    return trace
+
+
+def _stalled_run(problem, seed, dim, solver, l_init, m0):
+    spec = make_problem(problem, seed=seed, dim=dim)
+    pol = TerminationPolicy(max_iterations=5000)
+    if solver == "ll2022":
+        return ll2022_run(spec.objective, spec.x_init,
+                          LL2022Params(l_f=l_init, m_f=m0, termination=pol)).trace
+    return run(spec.objective, spec.x_init, SolverParams(l_init=l_init, termination=pol)).trace
+
+
+ROW = (1, 1, 1, 4, -1.0, 0.5, None, 2.0, 1.0, 0.0, "Step")
+OTHER = (3, 2, 1, 6, -1.5, 0.25, 0.125, 2.0, 1.0, 0.5, "RestartSuccessful")
+
+# Traces with filled rows: runs past a bitwise fixed point, made-up fills
+# with rows after them, and fills of rows a writer must not take as its
+# template's text (NaN, -0.0, an int L, an event holding ``%``).  Most
+# made-up fills are longer than one block of the writer.
+FILLED = {
+    "proposed": lambda: _long_run(5000).trace,
+    "proposed-d2": lambda: _stalled_run("cosine_sum", 3, 2, "proposed", 1e-3, None),
+    "ll2022-restarted": lambda: _stalled_run("cosine_sum", 0, None, "ll2022", 2.0, 1e12),
+    "ll2022-d2": lambda: _stalled_run("cosine_sum", 3, 2, "ll2022", 100.0, 1.0),
+    "fill-then-rows": lambda: _grown([ROW], 4097, OTHER, ROW),
+    "two-fills": lambda: _grown([ROW], 10, OTHER, 4097),
+    "consecutive-fills": lambda: _grown([ROW, OTHER], 3, 4096, 1),
+    "repeat-0": lambda: _grown([ROW, OTHER], 0),
+    "fill-row-repeat-0": lambda: _grown([ROW], 100, OTHER, 0, ROW),
+    "nan": lambda: _grown([(7, 2, 3, 9, NAN, NAN, NAN, NAN, NAN, NAN, "Step")], 4097, ROW),
+    "negative-zero": lambda: _grown([(7, 2, 3, 9, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, "Step")],
+                                    4097, (8, 2, 4, 9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "Step")),
+    "int-L": lambda: _grown([(7, 2, 3, 9, 1.5, 2.5, None, 100, 7, 0.0, "Step")], 4097, ROW),
+    "percent-event": lambda: _grown([(7, 2, 3, 9, 1.5, 2.5, None, 1.0, 0.0, 0.0,
+                                      "50%d %s %% done")], 4097, ROW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILLED))
+def test_filled_rows_are_written_as_the_rowwise_reference_writes_them(name):
+    trace = FILLED[name]()
+    if name.startswith(("proposed", "ll2022")):
+        assert trace.filled[0] > 1 and trace.filled[1] == len(trace) == 5000
+    _assert_written_alike(trace, random.Random(name))
+
+
+class _CountingFile:
+    """A file that counts and drops what is written to it."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+
+    def flush(self):
+        pass
+
+
+def test_a_stalled_trace_writes_its_filled_rows_in_blocks():
+    trace = _long_run(200_000).trace
+    start, stop = trace.filled
+    assert stop == len(trace) == 200_000 and start < 200
+    out = _CountingFile()
+    TraceWriter(out).add_rows(trace)
+    assert out.writes <= start + math.ceil((stop - start) / 4096) + 1
+
+
+def _read_per_field(path):
+    """The trace at ``path`` read by the per-field rule: ``csv.reader``,
+    then ``int`` or ``float`` of each field on its own."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return Trace((int(K), int(epoch), int(k), int(n), *(None if v == "" else float(v)
+                                                       for v in floats), event)
+                 for K, epoch, k, n, *floats, event in rows)
+
+
+def test_rows_that_do_not_repeat_the_last_read_as_each_field_reads(tmp_path):
+    tail = (50, -1.0, 0.5, None, 1.0, NAN, 0.0, "Step")
+    steps = [(10, 2, 4), (11, 2, 5), (12, 2, 6),   # these repeat
+             (14, 2, 7),                           # K steps by two
+             (15, 2, 7),                           # k stays
+             (16, 2, 9),                           # k steps by two
+             (17, 3, 10),                          # the epoch changes
+             (18, 3, 11),                          # this repeats
+             (18, 3, 12), (19, 3, 12),             # K stays, then k
+             (20, 3, 13),                          # this repeats
+             (21, 3, 0), (22, 3, 1)]               # k starts over, then repeats
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), [(K, epoch, k, *tail) for K, epoch, k in steps])
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        # K one up, as ``int`` reads it, but not as the writer writes it.
+        fh.write("+23,3,2,50,-1.0,0.5,,1.0,nan,0.0,Step\r\n")
+        fh.write("024,3,3,50,-1.0,0.5,,1.0,nan,0.0,Step\r\n")
+    back = read_trace_csv(str(path))
+    assert _bits(back) == _bits(_read_per_field(str(path)))
+    assert list(back.K) == [K for K, _, _ in steps] + [23, 24]
+    assert back.filled == (12, 13)
+
+
+def test_a_stalled_run_reads_back_filled_and_writes_back_alike(tmp_path):
+    trace = _long_run(20_000).trace
+    path, again = tmp_path / "trace.csv", tmp_path / "again.csv"
+    write_trace_csv(str(path), trace)
+    back = read_trace_csv(str(path))
+    assert back == trace and _bits(back) == _bits(_read_per_field(str(path)))
+    # The reader folds from the first row that repeats the one before, which
+    # is no later than where the run began to fill.
+    start, stop = back.filled
+    assert 1 < start <= trace.filled[0] and stop == 20_000
+    assert all(len(set(column[start - 1:])) == 1 for column in back.columns[3:])
+    first = back.K[start - 1]
+    assert list(back.K[start - 1:]) == list(range(first, first + stop - start + 1))
+    write_trace_csv(str(again), back)
+    assert again.read_bytes() == path.read_bytes()
+    assert _bytes_per_row(lambda: read_trace_csv(str(path))) <= 128
+
+
+# A bad row after rows the reader folds, built from the next repeat of the
+# last row: ``{line}`` is that row's text without its line end.
+BAD_AFTER_REPEATS = {
+    "short": lambda line: line[:len(line) // 2],
+    "long": lambda line: line + ",extra\r\n",
+    "unknown-event": lambda line: line[:-len("Step")] + "Stepp\r\n",
+    "quoted-number": lambda line: line.replace(",-1.0,", ',"-1.0",') + "\r\n",
+    "quoted-comma": lambda line: line.replace(",-1.0,", ',"-1,0",') + "\r\n",
+    "quoted-event": lambda line: line[:-len("Step")] + '"Step"\r\n',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_AFTER_REPEATS))
+@pytest.mark.parametrize("repeats", [0, 10])
+def test_a_bad_row_after_repeated_rows_names_its_line(tmp_path, kind, repeats):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), _grown([(1, 1, 1, 4, -1.0, 0.5, None, 2.0, 1.0, 0.0, "Step")],
+                                      repeats))
+    line = BAD_AFTER_REPEATS[kind](f"{repeats + 2},1,{repeats + 2},4,-1.0,0.5,,2.0,1.0,0.0,Step")
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(line)
+    with pytest.raises(ValueError, match=f"line {repeats + 3}:"):
+        read_trace_csv(str(path))
 
 
 def test_writing_a_trace_leaves_its_columns_free_to_grow(tmp_path):
