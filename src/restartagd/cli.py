@@ -271,9 +271,8 @@ def _grid_worker(payload: dict) -> dict:
     row["reason"] = report.reason
     row["certified_grad_norm"] = repr(float(report.certified_grad_norm))
     row["n_oracle"] = str(report.n_oracle)
-    calls, norms = report.certified
     for thr in payload["thresholds"]:
-        hit = next((c for c, norm in zip(calls, norms) if norm <= thr), None)
+        hit = next((c for c, norm in zip(*report.certified) if norm <= thr), None)
         row[_thr_col(thr)] = "" if hit is None else str(hit)
     return row
 
@@ -353,22 +352,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
         label = os.path.basename(os.path.dirname(path)) or os.path.basename(path)
         series.append((label, records))
     out = args.out or "trace.svg"
-    out_parent = os.path.dirname(out)
-    if out_parent:
-        os.makedirs(out_parent, exist_ok=True)
+    os.makedirs(os.path.dirname(out) or os.curdir, exist_ok=True)
     write_traces_svg(out, series, title=args.title or "")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def _box_constants(spec: ProblemSpec, half_width: float) -> Tuple[float, float]:
+def _box_constants(spec: ProblemSpec, b: float) -> Tuple[float, float]:
     """Curvature constants to verify against: the problem's own if declared,
-    else conservative bounds over the sampling box (Rosenbrock only)."""
+    else conservative bounds over the sampling box [-b, b]^d (Rosenbrock
+    only)."""
     obj = spec.objective
     if obj.known_L is not None and obj.known_M is not None:
         return obj.known_L, obj.known_M
     if spec.name == "rosenbrock":
-        b = half_width
         return 202.0 + 1200.0 * b * b + 800.0 * b, 2400.0 * b + 1200.0
     raise ConfigError(f"no curvature constants available for {spec.name!r}")
 
@@ -384,10 +381,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(_whole(s, "seed"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad verify setting: {exc}")
-    names = _names(s["problems"], "problems")
 
     failures = 0
-    for name in names:
+    for name in _names(s["problems"], "problems"):
         spec = _make_problem(s, problem=name)
         obj = spec.objective
         L, M = _box_constants(spec, box)
@@ -476,8 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:   # OSError: an output path cannot be written

@@ -146,14 +146,12 @@ def _fold_average_exact(k: int, y_bar: Vector, y: Vector) -> Vector:
 def descent_condition_holds(state: _Proposed) -> bool:
     """Guaranteed-decrease test against the epoch anchor; equality counts as
     holding."""
-    bound = state.anchor.f - state.L * state.s / (2.0 * (state.k + 1.0))
-    return state.cur.f <= bound
+    return state.cur.f <= state.anchor.f - state.L * state.s / (2.0 * (state.k + 1.0))
 
 
 def restart2_triggered(state: _Proposed) -> bool:
     """Progress test (k+1)^5 M^2 S_k > L^2 ending a successful epoch."""
-    k1 = state.k + 1.0
-    return (k1 ** 5) * state.M * state.M * state.s > state.L * state.L
+    return ((state.k + 1.0) ** 5) * state.M * state.M * state.s > state.L * state.L
 
 
 def update_m(state: _Proposed, dx2: float,

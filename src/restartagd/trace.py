@@ -14,7 +14,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import islice, repeat
+from itertools import islice
 from typing import IO, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -116,14 +116,23 @@ class Trace(Sequence):
     def repeat_last(self, n: int) -> None:
         """Append ``n`` copies of the last row, with ``K`` and ``k`` counting
         up from it, a column at a time in ``TRACE_COLUMNS`` order: ``event``,
-        the last, grows last.  Then ``filled`` becomes the range of the new
-        rows, or is extended by it when the last fill ended where this one
-        starts.  It is set only once every column has grown, so a fill cut
-        short (by Ctrl-C) leaves the range of an earlier, complete one."""
+        the last, grows last.  A column grows by whole blocks of at most
+        ``_FILL_BLOCK`` rows, not an element at a time: its last element
+        repeated (``column[-1:] * m``, references to the one object in a
+        list), or for ``K`` and ``k`` a NumPy ``arange`` copied in as bytes.
+        The blocks keep the spare copy small whatever ``n`` is.  Then
+        ``filled`` becomes the range of the new rows, or is extended by it
+        when the last fill ended where this one starts.  It is set only once
+        every column has grown, so a fill cut short (by Ctrl-C) leaves the
+        range of an earlier, complete one."""
         start = len(self)
         for i, column in enumerate(self.columns):
-            last = column[-1]   # columns 0 and 2 are K and k
-            column.extend(range(last + 1, last + n + 1) if i in (0, 2) else repeat(last, n))
+            for j in range(0, n, _FILL_BLOCK):
+                m, last = min(_FILL_BLOCK, n - j), column[-1]
+                if i in (0, 2):     # K and k
+                    column.frombytes(np.arange(last + 1, last + m + 1, dtype=np.int64).tobytes())
+                else:
+                    column.extend(column[-1:] * m)
         first, stop = self.filled
         self.filled = (first if stop == start else start, start + n)
 
@@ -185,17 +194,26 @@ _HEADER = ",".join(TRACE_COLUMNS)
 _TAIL = "%d,%s,%s,%s,%s,%s,%s,%s\r\n"   # the fields after ``k``
 _ROW = "%d,%d,%d," + _TAIL
 
-# Filled rows written at a time.
+# Filled rows written, or appended to a column, at a time.
 _FILL_BLOCK = 4096
 
 # Anchors whose text :func:`write_report_json` builds and writes at a time.
 _PIECE = 128
 
 
+def _fill_text(K: int, epoch, k: int, tail: str, n: int) -> str:
+    """The text of ``n`` rows from ``K``, ``epoch`` and ``k`` on, ``K`` and
+    ``k`` counting up, each followed by ``tail``: its text after ``k``, line
+    end included.  The writer writes a fill with it and the reader checks
+    one; a row is one f-string, with no ``%`` to escape in ``tail``."""
+    mid, end = f",{epoch},", f",{tail}"
+    return "".join([f"{a}{mid}{b}{end}" for a, b in zip(range(K, K + n), range(k, k + n))])
+
+
 class TraceWriter:
     """Writes trace rows to a CSV file: the header, flushed, when built, then
     the rows of each :meth:`add_rows` call, one ``write`` a row but for a
-    :class:`Trace`'s ``filled`` rows; :meth:`close` flushes them.
+    :class:`Trace`'s ``filled`` rows.  The caller flushes or closes the file.
 
     A float field is written as ``repr(float(v))``, and a missing
     ``grad_norm_ybar`` (``None``) as an empty field.  Most float fields
@@ -208,9 +226,9 @@ class TraceWriter:
     time share texts too.
 
     A filled row repeats the row before it but ``K`` and ``k``, which count
-    up, so the filled rows are written from one line text, the last row's
-    with ``K`` and ``k`` left open, ``_FILL_BLOCK`` rows a ``write``, and
-    no float is formatted for them."""
+    up, so the filled rows are written as :func:`_fill_text` of the row
+    before's text after ``k``, ``_FILL_BLOCK`` rows a ``write``, and no
+    float is formatted for them."""
 
     def __init__(self, out: IO[str]):
         self._out = out
@@ -227,12 +245,11 @@ class TraceWriter:
             (start, stop), columns = rows.filled, rows.columns
             if stop:   # the rows before the fill, the fill, then the rows after it
                 self.add_rows(islice(zip(*columns), start))
-                i, write, K, k = start - 1, self._out.write, rows.K, rows.k
+                i = start - 1
                 tail = _TAIL % (rows.n_oracle[i], *self._last[1::2], rows.event[i])
-                line = "%%d,%d,%%d," % rows.epoch[i] + tail.replace("%", "%%")
                 for j in range(start, stop, _FILL_BLOCK):
-                    end = min(j + _FILL_BLOCK, stop)
-                    write("".join(map(line.__mod__, zip(K[j:end], k[j:end]))))
+                    self._out.write(_fill_text(rows.K[j], rows.epoch[i], rows.k[j], tail,
+                                               min(_FILL_BLOCK, stop - j)))
                 columns = [column[stop:] for column in columns]
             rows = zip(*columns)
         write, sign = self._out.write, math.copysign
@@ -254,9 +271,6 @@ class TraceWriter:
             write(_ROW % (K, epoch, k, n_oracle, f1, g1, y1, L1, M1, S1, event))
         self._last = (f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1)
 
-    def close(self) -> None:
-        self._out.flush()
-
 
 def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:
     """Write ``rows`` (a :class:`Trace` or any iterable of rows or records)
@@ -277,12 +291,19 @@ def read_trace_csv(path: str) -> Trace:
     A row whose ``epoch`` and text after ``k`` equal the previous row's, and
     whose ``K`` and ``k`` are each one higher, repeats it: such rows are
     counted and appended together by :meth:`Trace.repeat_last`, so a
-    stalled run reads back with its ``filled`` range.  Any other row is
-    parsed field by field, and a float field whose text repeats the previous
-    row's is not parsed again: it holds the previous row's float, as the
-    run's own trace holds one object for an epoch's ``L``.  Equal text is
-    equal bits, so either way every field reads exactly as ``int`` and
-    ``float`` would read it."""
+    stalled run reads back with its ``filled`` range.  From the first such
+    row on, a file that can seek is read in blocks of 64 rows, growing to
+    1,024: the block's text as the repeats would be written
+    (:func:`_fill_text`) is compared with as many characters of the file,
+    and a block that matches is counted whole.  At one that does not, the
+    file seeks back to the block's first line and is read line by line up
+    to the next row that does not repeat.  Input that cannot seek (a pipe)
+    is read line by line throughout.  Any other row is parsed field by
+    field, and a float field whose text repeats the previous row's is not
+    parsed again: it holds the previous row's float, as the run's own trace
+    holds one object for an epoch's ``L``.  Equal text is equal bits, so
+    either way every field reads exactly as ``int`` and ``float`` would
+    read it."""
     trace = Trace()
     (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
      add_L, add_M, add_S_k, add_event) = trace._appends
@@ -296,15 +317,26 @@ def read_trace_csv(path: str) -> Trace:
         header = fh.readline()
         if header.rstrip("\r\n") != _HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
+        # Rows in the next block of repeats, 0 to read them line by line.
+        block = first_block = 64 if fh.seekable() else 0
         try:
-            for line_num, line in enumerate(fh, 2):
+            # ``readline``, not the file's iterator, which turns ``tell`` off.
+            for line in iter(fh.readline, ""):
                 K, k = K + 1, k + 1
-                if line == f"{K},{epoch},{k},{tail}":
+                if line.endswith(tail) and line == f"{K},{epoch},{k},{tail}":
                     repeats += 1
+                    while block:
+                        at, text = fh.tell(), _fill_text(K + 1, epoch, k + 1, tail, block)
+                        if fh.read(len(text)) == text:
+                            K, k, repeats = K + block, k + block, repeats + block
+                            block = min(2 * block, 1024)
+                        else:
+                            fh.seek(at)
+                            block = 0
                     continue
                 if repeats:
                     trace.repeat_last(repeats)
-                    repeats = 0
+                    repeats, block = 0, first_block
                 (K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row,
                  event) = line.rstrip("\r\n").split(",")
                 K, k, tail = int(K), int(k), line.split(",", 3)[3]
@@ -335,7 +367,9 @@ def read_trace_csv(path: str) -> Trace:
                 add_S_k(S_k)
                 add_event(name)
         except ValueError as exc:
-            raise ValueError(f"bad trace row at line {line_num}: {exc}") from None
+            # The line after the header, the rows read whole and the repeats
+            # not yet appended (``event`` grows last, so it counts whole rows).
+            raise ValueError(f"bad trace row at line {len(trace.event) + repeats + 2}: {exc}") from None
     if repeats:
         trace.repeat_last(repeats)
     return trace

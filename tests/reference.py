@@ -208,9 +208,6 @@ class PlainTraceWriter:
             texts = ("" if v is None else repr(float(v)) for v in floats)
             self._out.write(_ROW % (K, epoch, k, n_oracle, *texts, event))
 
-    def close(self) -> None:
-        self._out.flush()
-
 
 # ``svgplot``'s panels as they were before they worked on NumPy views of the
 # trace columns: every point a Python float, then stride-downsampled.

@@ -6,9 +6,11 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import re
 import struct
+import threading
 import tracemalloc
 from array import array
 
@@ -21,6 +23,7 @@ from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, Objective,
                         TraceRecord, gd_run, ll2022_run, make_problem,
                         read_trace_csv, report_to_dict, run,
                         write_report_json, write_trace_csv)
+from restartagd import trace as trace_module
 from restartagd.trace import EVENTS, TRACE_COLUMNS, TraceWriter
 
 from reference import PlainTraceWriter
@@ -144,7 +147,6 @@ def test_streaming_writer_matches_the_trace_writer(tmp_path):
     writer = TraceWriter(buf)
     for rec in recs:
         writer.add_rows([rec])
-    writer.close()
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), recs)
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
@@ -180,7 +182,6 @@ def test_repeated_values_are_written_as_their_own_text(tmp_path):
     writer = TraceWriter(buf)
     for rec in recs:        # one row a call: the last row's texts carry over
         writer.add_rows([rec])
-    writer.close()
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
 
@@ -310,11 +311,15 @@ def test_a_record_iterates_as_its_row_in_column_order():
         assert TraceRecord(*rec) == rec
 
 
+def _column_bits(column):
+    """Every field of a trace column as its type and bits, NaN payloads included."""
+    return column.tobytes() if isinstance(column, array) else [
+        (type(v), v if v is None or isinstance(v, str) else struct.pack("<d", v)) for v in column]
+
+
 def _bits(trace):
-    """Every field of ``trace`` as its type and bits, NaN payloads included."""
-    return [c.tobytes() if isinstance(c, array) else
-            [(type(v), v if v is None or isinstance(v, str) else struct.pack("<d", v))
-             for v in c] for c in trace.columns]
+    """Every field of ``trace`` as its type and bits, column by column."""
+    return [_column_bits(c) for c in trace.columns]
 
 
 def test_a_trace_of_rows_equals_the_trace_of_the_equal_records(tmp_path):
@@ -379,7 +384,6 @@ def _csv(writer_class, chunks):
     writer = writer_class(buf)
     for chunk in chunks:
         writer.add_rows(chunk)
-    writer.close()
     return buf.getvalue()
 
 
@@ -476,7 +480,6 @@ def test_rows_added_one_call_at_a_time_across_a_block_boundary(tmp_path):
     writer = TraceWriter(buf)
     for row in rows:
         writer.add_rows([row])
-    writer.close()
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), rows)
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
@@ -564,10 +567,11 @@ def _read_per_field(path):
     """The trace at ``path`` read by the per-field rule: ``csv.reader``,
     then ``int`` or ``float`` of each field on its own."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    return Trace((int(K), int(epoch), int(k), int(n), *(None if v == "" else float(v)
-                                                       for v in floats), event)
-                 for K, epoch, k, n, *floats, event in rows)
+        rows = csv.reader(fh)
+        next(rows)
+        return Trace((int(K), int(epoch), int(k), int(n), *(None if v == "" else float(v)
+                                                           for v in floats), event)
+                     for K, epoch, k, n, *floats, event in rows)
 
 
 def test_rows_that_do_not_repeat_the_last_read_as_each_field_reads(tmp_path):
@@ -634,6 +638,125 @@ def test_a_bad_row_after_repeated_rows_names_its_line(tmp_path, kind, repeats):
         fh.write(line)
     with pytest.raises(ValueError, match=f"line {repeats + 3}:"):
         read_trace_csv(str(path))
+
+
+# The reader's blocks of repeated rows.  The first row that repeats the one
+# before is read as a line, then blocks of 64, 128, 256 and 512 rows, then
+# 1,024 rows a block, so a fill of 1 + 960 or 1 + 1,984 rows ends on a block
+# boundary and one of 1,000 rows inside a block.
+
+def _read_alike(path, trace=None):
+    """The read of ``path``, which has the types and bits of the per-field
+    read and, when given, equals ``trace``, ``filled`` included."""
+    back, ref = read_trace_csv(str(path)), _read_per_field(str(path))
+    assert len(back.columns) == len(ref.columns)
+    for mine, theirs in zip(back.columns, ref.columns):   # one at a time: less memory
+        assert _column_bits(mine) == _column_bits(theirs)
+    if trace is not None:
+        assert back == trace and back.filled == trace.filled
+    return back
+
+
+@pytest.mark.parametrize("repeats", [1, 64, 65, 66, 1000, 961, 962, 1985, 3008, 3009, 3010])
+@pytest.mark.parametrize("after", [(), (OTHER, ROW)], ids=["at-the-end", "rows-after"])
+def test_a_fill_read_in_blocks_reads_as_each_field_reads(tmp_path, repeats, after):
+    trace = _grown([ROW], repeats, *after)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    _read_alike(path, trace)
+
+
+def test_a_fill_of_200_000_rows_reads_as_each_field_reads(tmp_path):
+    trace = _grown([ROW, OTHER], 200_000, ROW)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    assert _read_alike(path, trace).filled == (2, 200_002)
+
+
+def test_a_fill_with_lf_line_ends_reads_in_blocks_alike(tmp_path):
+    trace = _grown([ROW], 3000, OTHER, 1500)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    assert _read_alike(path, trace).filled == (3002, 4502)
+
+
+def test_a_K_that_skips_inside_a_fill_ends_its_block(tmp_path):
+    # K steps by two after row 2,000; every row but that one and the first
+    # repeats the one before.
+    rows = [(i + 1 + (i >= 2000), 1, i + 1, *ROW[3:]) for i in range(3000)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), rows)
+    back = _read_alike(path)
+    assert list(back.K) == [row[0] for row in rows] and back.filled == (2001, 3000)
+
+
+@pytest.mark.parametrize("whole", [100, 961, 3000])
+def test_a_row_cut_inside_a_fill_names_its_line(tmp_path, whole):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), _grown([ROW], 5000))
+    lines = path.read_bytes().split(b"\r\n")
+    cut = lines[whole + 1]      # the row after ``whole`` rows and the header
+    path.write_bytes(b"\r\n".join(lines[:whole + 1] + [cut[:len(cut) // 2]]))
+    with pytest.raises(ValueError, match=f"line {whole + 2}:"):
+        read_trace_csv(str(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_stalled_trace_reads_alike_through_a_pipe(tmp_path):
+    # A pipe cannot seek back to where a block stopped matching.
+    trace = _long_run(20_000).trace
+    path, fifo = tmp_path / "trace.csv", tmp_path / "fifo"
+    write_trace_csv(str(path), trace)
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    back = read_trace_csv(str(fifo))
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    plain = read_trace_csv(str(path))
+    assert plain == trace and plain.filled[1] == 20_000
+    assert _bits(back) == _bits(plain) and back.filled == plain.filled
+
+
+def test_a_long_fill_is_read_in_blocks_of_1024_rows(tmp_path, monkeypatch):
+    trace = _long_run(200_000).trace
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    calls = []
+    fill_text = trace_module._fill_text
+
+    def counted(*args):
+        calls.append(args)
+        return fill_text(*args)
+
+    monkeypatch.setattr(trace_module, "_fill_text", counted)
+    back = read_trace_csv(str(path))
+    start, stop = back.filled
+    assert back == trace and stop == 200_000
+    assert len(calls) <= math.ceil((stop - start) / 1024) + 8
+    assert sum(args[-1] for args in calls) >= stop - start - 1024   # the rows they cover
+    assert max(args[-1] for args in calls) == 1024
+
+
+def test_repeat_last_keeps_its_spare_copy_small():
+    # Grown by all 200,000 rows at once, a column would need a spare copy of
+    # that size on top of itself, which shows in a run's peak RSS.
+    trace = Trace([ROW])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace.repeat_last(200_000)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 200_001 and trace.K[-1] == 200_001
+    assert peak - final <= 64 * 1024
 
 
 def test_writing_a_trace_leaves_its_columns_free_to_grow(tmp_path):
