@@ -120,7 +120,7 @@ def _load_config(path: Optional[str], section: str) -> dict:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}")
     if doc is None:
         return {}

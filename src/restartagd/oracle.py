@@ -51,12 +51,13 @@ def l2_norm(g: Vector) -> float:
 
 
 def as_point(values, dim: Optional[int] = None) -> Vector:
-    """Validate and return a point as a float64 vector.
+    """Validate a point and return it as a new float64 vector.
 
     Points are dense 1-D arrays with at least one entry, all finite.
-    ``dim``, when given, additionally pins the expected length.
+    ``dim``, when given, additionally pins the expected length.  The result
+    is always a copy, so a run never holds, or reports, the caller's array.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = np.array(values, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"point must be a 1-D vector with d >= 1, got shape {x.shape}")
     if not np.all(np.isfinite(x)):

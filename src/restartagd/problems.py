@@ -16,22 +16,6 @@ import numpy as np
 from .oracle import Objective, Vector, as_point
 
 
-class _LineError(Exception):
-    """An error at a data file line; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class ParseError(_LineError):
-    """A data file line could not be parsed."""
-
-
-class DimensionError(_LineError):
-    """An index in a data file falls outside the declared matrix shape."""
-
-
 def rosenbrock() -> Objective:
     """The classic banana function on R^2, f(x, y) = (x-1)^2 + 100(y-x^2)^2."""
 
@@ -204,10 +188,10 @@ def load_movielens_100k(path: str) -> MatrixCompletionInstance:
     """Parse a MovieLens-100K ``u.data`` ratings file.
 
     Rows are tab-separated ``user  item  rating  timestamp`` with 1-based
-    user ids up to 943 and item ids up to 1682.  Raises :class:`ParseError`
-    for malformed rows and :class:`DimensionError` for out-of-range ids,
-    both carrying the offending line number.  An empty file yields a valid
-    instance with zero observations.
+    user ids up to 943 and item ids up to 1682.  A malformed row or an
+    out-of-range id raises :class:`ValueError` whose message starts with
+    ``line N:``, the offending 1-based line number.  An empty file yields a
+    valid instance with zero observations.
     """
     p, q = 943, 1682
     rows, cols, vals = [], [], []
@@ -218,15 +202,15 @@ def load_movielens_100k(path: str) -> MatrixCompletionInstance:
                 continue
             parts = stripped.split("\t")
             if len(parts) != 4:
-                raise ParseError(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+                raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
             try:
                 user, item, rating, _ = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
             except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not (1 <= user <= p):
-                raise DimensionError(lineno, f"user id {user} outside [1, {p}]")
+                raise ValueError(f"line {lineno}: user id {user} outside [1, {p}]")
             if not (1 <= item <= q):
-                raise DimensionError(lineno, f"item id {item} outside [1, {q}]")
+                raise ValueError(f"line {lineno}: item id {item} outside [1, {q}]")
             rows.append(user - 1)
             cols.append(item - 1)
             vals.append(rating)

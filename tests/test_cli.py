@@ -818,3 +818,37 @@ def test_config_file_shapes(tmp_path, capsys, text, error):
     assert os.path.exists(os.path.join(out, "report.json")) == (error is None)
     err = capsys.readouterr().err
     assert err == "" if error is None else error in err
+
+
+@pytest.mark.parametrize("command", ["run", "grid", "verify"])
+def test_a_config_file_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(f"{command}:\n  seed: ".encode() + b"\xff\xfe\n")
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "out")]
+                                             if command != "verify" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: could not parse {cfg}: "), err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\t2\t3", "line 1: expected 4 tab-separated fields, got 3"),
+    ("1\t2000\t5\t874965758", "line 1: item id 2000 outside [1, 1682]"),
+], ids=["fields", "item_id"])
+@pytest.mark.parametrize("command", ["run", "grid", "verify"])
+def test_a_malformed_movielens_file_exits_2_naming_its_line(
+        tmp_path, capsys, monkeypatch, command, text, message):
+    (tmp_path / "u.data").write_text(text + "\n", encoding="utf-8")
+    monkeypatch.setenv("RESTARTAGD_DATA", str(tmp_path))  # verify reads no data_path
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text({
+        "run": f"run:\n  problem: movielens\n  data_path: {tmp_path / 'u.data'}\n",
+        "grid": f"grid:\n  problem: movielens\n  data_path: {tmp_path / 'u.data'}\n"
+                "  solvers: [gd]\n  l_init: [1.0]\n",
+        "verify": "verify:\n  problems: [movielens]\n",
+    }[command])
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "out")]
+                                             if command != "verify" else [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

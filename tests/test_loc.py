@@ -1,4 +1,4 @@
-"""The line counter in ``tools/loc.py``: what it counts as code."""
+"""The line counter in ``tools/loc.py``: what it counts as code and as a statement."""
 
 import importlib.util
 import os
@@ -29,6 +29,13 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings():
     assert loc.counts(SAMPLE) == (13, 5)
 
 
+def test_statements_leave_out_docstrings_and_ignore_how_lines_are_joined():
+    assert loc.statements(SAMPLE) == 5
+    joined, split = "x = 1; y = 2\n", "x = 1\ny = 2\n"
+    assert (loc.counts(joined)[1], loc.counts(split)[1]) == (1, 2)
+    assert loc.statements(joined) == loc.statements(split) == 2
+
+
 def test_every_module_of_the_package_is_counted(capsys):
     assert loc.main() == 0
     lines = capsys.readouterr().out.splitlines()
@@ -36,7 +43,8 @@ def test_every_module_of_the_package_is_counted(capsys):
     assert [line.split()[0] for line in lines[1:-1]] == names
     total = lines[-1].split()
     assert total[0] == "total"
-    assert int(total[1]) == sum(int(line.split()[1]) for line in lines[1:-1])
+    for column in (1, 2, 3):
+        assert int(total[column]) == sum(int(line.split()[column]) for line in lines[1:-1])
 
 
 def test_the_package_stays_within_its_line_budget(capsys):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from restartagd import (CERTIFY_EVERY_ITER, M_THEORETICAL, DimensionError,
+from restartagd import (CERTIFY_EVERY_ITER, M_THEORETICAL,
                         GdParams, LL2022Params, MatrixCompletionInstance,
-                        Objective, ParseError, SolverParams, TerminationPolicy,
+                        Objective, SolverParams, TerminationPolicy,
                         completion_init, cosine_sum, gd_run,
                         ll2022_run, load_movielens_100k, make_problem,
                         matrix_completion, quadratic, rosenbrock, run,
@@ -393,28 +393,25 @@ def test_movielens_loader_skips_blank_lines(tmp_path):
 
 def test_movielens_loader_parse_error_carries_line_number(tmp_path):
     lines = ["1\t1\t5\t874965758", "1\t2\t5", "2\t2\t4\t874965758"]
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValueError, match=r"^line 2: expected 4 tab-separated fields, got 3$"):
         load_movielens_100k(_write_ratings(tmp_path / "u.data", lines))
-    assert exc.value.line == 2
 
 
 def test_movielens_loader_non_numeric_field(tmp_path):
     lines = ["1\tone\t5\t874965758"]
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValueError, match=r"^line 1: invalid literal for int\(\)"):
         load_movielens_100k(_write_ratings(tmp_path / "u.data", lines))
-    assert exc.value.line == 1
 
 
 def test_movielens_loader_out_of_range_ids(tmp_path):
     lines = ["944\t1\t5\t874965758"]
-    with pytest.raises(DimensionError) as exc:
+    with pytest.raises(ValueError, match=r"^line 1: user id 944 outside \[1, 943\]$"):
         load_movielens_100k(_write_ratings(tmp_path / "u.data", lines))
-    assert exc.value.line == 1
-    lines = ["1\t1683\t5\t874965758"]
-    with pytest.raises(DimensionError):
+    lines = ["1\t2\t5\t874965758", "1\t1683\t5\t874965758"]
+    with pytest.raises(ValueError, match=r"^line 2: item id 1683 outside \[1, 1682\]$"):
         load_movielens_100k(_write_ratings(tmp_path / "u.data", lines))
     lines = ["0\t1\t5\t874965758"]
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"^line 1: user id 0 outside \[1, 943\]$"):
         load_movielens_100k(_write_ratings(tmp_path / "u.data", lines))
 
 

@@ -372,6 +372,22 @@ def test_stationary_start_returns_immediately():
     assert rep.certified_grad_norm == 0.0
 
 
+@pytest.mark.parametrize("solve, params", [
+    (run, SolverParams()),
+    (gd_run, GdParams()),
+    (ll2022_run, LL2022Params(l_f=1.0, m_f=1.0)),
+])
+def test_a_report_never_holds_the_callers_start_array(solve, params):
+    # A stationary start stays the best point, so the report's solution is
+    # the start: it must be a copy that later writes to x0 leave alone.
+    x0 = np.zeros(3)
+    rep = solve(quadratic(3), x0, params)
+    assert rep.reason == "Stationary"
+    assert rep.solution is not x0 and not np.shares_memory(rep.solution, x0)
+    x0[:] = 7.0
+    np.testing.assert_array_equal(rep.solution, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # termination and budgets
 
