@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -330,10 +331,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
             # error) waits only for those running; a finished grid has none.
             stack.callback(pool.shutdown, cancel_futures=True)
             cells = pool.map(_grid_worker, payloads.values())  # in payload order
+        # The first cell builds the problem before the summary is opened, so
+        # a problem that cannot be built leaves no summary.
+        cells = iter(cells)
+        first = next(cells)
         fh = stack.enter_context(open(summary_path, "w", newline="", encoding="utf-8"))
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in cells:  # as each cell returns: a Ctrl-C keeps the finished rows
+        for row in itertools.chain([first], cells):  # a Ctrl-C keeps the finished rows
             writer.writerow(row)
             fh.flush()
             print(f"{row['solver']:9s} l_init={row['l_init']:>8s} m0={row['m0']:>8s} "

@@ -8,6 +8,7 @@ describes.  The CSV layout is the column order; floats are written with
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -205,9 +206,27 @@ def _fill_text(K: int, epoch, k: int, tail: str, n: int) -> str:
     """The text of ``n`` rows from ``K``, ``epoch`` and ``k`` on, ``K`` and
     ``k`` counting up, each followed by ``tail``: its text after ``k``, line
     end included.  The writer writes a fill with it and the reader checks
-    one; a row is one f-string, with no ``%`` to escape in ``tail``."""
-    mid, end = f",{epoch},", f",{tail}"
-    return "".join([f"{a}{mid}{b}{end}" for a, b in zip(range(K, K + n), range(k, k + n))])
+    one.  The rows up to where ``K``'s or ``k``'s text widens (one row at a
+    time below zero) are one NumPy ``uint8`` table: the first row's UTF-8
+    bytes in every row, then ``K``'s and ``k``'s digits written a column at
+    a time, from the last column to the first that holds one digit in every
+    row.  Columns are byte offsets, so an ``epoch`` or ``tail`` with
+    non-ASCII characters (digits that ``int`` and ``float`` read, say)
+    stays in place.  Each table is decoded once, from its buffer."""
+    texts = []
+    while n > 0:
+        m = min(n, *(10 ** len(str(x)) - x if x >= 0 else 1 for x in (K, k)))
+        head = f"{K},{epoch},{k}".encode()
+        table = np.tile(np.frombuffer(head + f",{tail}".encode(), np.uint8), (m, 1))
+        for x, col in ((K, len(str(K)) - 1), (k, len(head) - 1)):
+            q = np.arange(x, x + m, dtype=np.int64)
+            while q[0] != q[-1]:    # the digit in this column changes
+                q, digit = np.divmod(q, 10)
+                table[:, col] = digit + 48
+                col -= 1
+        texts.append(str(table.data, "utf-8"))
+        K, k, n = K + m, k + m, n - m
+    return "".join(texts)
 
 
 class TraceWriter:
@@ -227,8 +246,9 @@ class TraceWriter:
 
     A filled row repeats the row before it but ``K`` and ``k``, which count
     up, so the filled rows are written as :func:`_fill_text` of the row
-    before's text after ``k``, ``_FILL_BLOCK`` rows a ``write``, and no
-    float is formatted for them."""
+    before's text after ``k``, ``_FILL_BLOCK`` rows a ``write``: no float is
+    formatted and no row is built in Python for them, as each block is a
+    NumPy byte table decoded once."""
 
     def __init__(self, out: IO[str]):
         self._out = out
@@ -291,19 +311,21 @@ def read_trace_csv(path: str) -> Trace:
     A row whose ``epoch`` and text after ``k`` equal the previous row's, and
     whose ``K`` and ``k`` are each one higher, repeats it: such rows are
     counted and appended together by :meth:`Trace.repeat_last`, so a
-    stalled run reads back with its ``filled`` range.  From the first such
-    row on, a file that can seek is read in blocks of 64 rows, growing to
-    1,024: the block's text as the repeats would be written
-    (:func:`_fill_text`) is compared with as many characters of the file,
-    and a block that matches is counted whole.  At one that does not, the
-    file seeks back to the block's first line and is read line by line up
-    to the next row that does not repeat.  Input that cannot seek (a pipe)
-    is read line by line throughout.  Any other row is parsed field by
-    field, and a float field whose text repeats the previous row's is not
-    parsed again: it holds the previous row's float, as the run's own trace
-    holds one object for an epoch's ``L``.  Equal text is equal bits, so
-    either way every field reads exactly as ``int`` and ``float`` would
-    read it."""
+    stalled run reads back with its ``filled`` range.  After each such row
+    read as a line, the next block of 64 rows, growing to 1,024, is compared
+    with as many characters read from the file: the block's text as the
+    repeats would be written (:func:`_fill_text`).  A block that matches is
+    counted whole.  The text of one that does not, its cut last line
+    completed by ``readline``, is split into lines by the file's own rules
+    (``io.StringIO`` with ``newline=""``) and read line by line before the
+    file, with no block compared until those lines are read.  The file is
+    never asked to ``tell`` or ``seek``, so a pipe reads as a file does.
+
+    Any other row is parsed field by field, and a float field whose text
+    repeats the previous row's is not parsed again: it holds the previous
+    row's float, as the run's own trace holds one object for an epoch's
+    ``L``.  Equal text is equal bits, so either way every field reads
+    exactly as ``int`` and ``float`` would read it."""
     trace = Trace()
     (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
      add_L, add_M, add_S_k, add_event) = trace._appends
@@ -317,55 +339,56 @@ def read_trace_csv(path: str) -> Trace:
         header = fh.readline()
         if header.rstrip("\r\n") != _HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
-        # Rows in the next block of repeats, 0 to read them line by line.
-        block = first_block = 64 if fh.seekable() else 0
+        # Where lines come from, the next one last: the file, and lines read
+        # ahead of it to read again first.  ``block``: rows in the next block.
+        sources, block = [fh], 64
         try:
-            # ``readline``, not the file's iterator, which turns ``tell`` off.
-            for line in iter(fh.readline, ""):
-                K, k = K + 1, k + 1
-                if line.endswith(tail) and line == f"{K},{epoch},{k},{tail}":
-                    repeats += 1
-                    while block:
-                        at, text = fh.tell(), _fill_text(K + 1, epoch, k + 1, tail, block)
-                        if fh.read(len(text)) == text:
+            while sources:
+                for line in sources.pop():
+                    K, k = K + 1, k + 1
+                    if line.endswith(tail) and line == f"{K},{epoch},{k},{tail}":
+                        repeats += 1
+                        if not sources:   # blocks are compared with the file only
+                            text = _fill_text(K + 1, epoch, k + 1, tail, block)
+                            ahead = fh.read(len(text))
+                            if ahead != text:   # read its lines first, the cut last one completed
+                                sources += [fh, io.StringIO(ahead + fh.readline(), newline="")]
+                                break
                             K, k, repeats = K + block, k + block, repeats + block
                             block = min(2 * block, 1024)
-                        else:
-                            fh.seek(at)
-                            block = 0
-                    continue
-                if repeats:
-                    trace.repeat_last(repeats)
-                    repeats, block = 0, first_block
-                (K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row,
-                 event) = line.rstrip("\r\n").split(",")
-                K, k, tail = int(K), int(k), line.split(",", 3)[3]
-                if f_row != f_text:
-                    f_x, f_text = float(f_row), f_row
-                if g_row != g_text:
-                    monitor, g_text = float(g_row), g_row
-                if y_row != y_text:
-                    ybar, y_text = None if y_row == "" else float(y_row), y_row
-                if L_row != L_text:
-                    L, L_text = float(L_row), L_row
-                if M_row != M_text:
-                    M, M_text = float(M_row), M_row
-                if S_row != S_text:
-                    S_k, S_text = float(S_row), S_row
-                name = _EVENT_NAMES.get(event)
-                if name is None:
-                    raise ValueError(f"unknown event {event!r}")
-                add_K(K)
-                add_epoch(int(epoch))
-                add_k(k)
-                add_n_oracle(int(n_oracle))
-                add_f_x(f_x)
-                add_monitor(monitor)
-                add_ybar(ybar)
-                add_L(L)
-                add_M(M)
-                add_S_k(S_k)
-                add_event(name)
+                        continue
+                    if repeats:
+                        trace.repeat_last(repeats)
+                        repeats, block = 0, 64
+                    (K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row,
+                     event) = line.rstrip("\r\n").split(",")
+                    K, k, tail = int(K), int(k), line.split(",", 3)[3]
+                    if f_row != f_text:
+                        f_x, f_text = float(f_row), f_row
+                    if g_row != g_text:
+                        monitor, g_text = float(g_row), g_row
+                    if y_row != y_text:
+                        ybar, y_text = None if y_row == "" else float(y_row), y_row
+                    if L_row != L_text:
+                        L, L_text = float(L_row), L_row
+                    if M_row != M_text:
+                        M, M_text = float(M_row), M_row
+                    if S_row != S_text:
+                        S_k, S_text = float(S_row), S_row
+                    name = _EVENT_NAMES.get(event)
+                    if name is None:
+                        raise ValueError(f"unknown event {event!r}")
+                    add_K(K)
+                    add_epoch(int(epoch))
+                    add_k(k)
+                    add_n_oracle(int(n_oracle))
+                    add_f_x(f_x)
+                    add_monitor(monitor)
+                    add_ybar(ybar)
+                    add_L(L)
+                    add_M(M)
+                    add_S_k(S_k)
+                    add_event(name)
         except ValueError as exc:
             # The line after the header, the rows read whole and the repeats
             # not yet appended (``event`` grows last, so it counts whole rows).

@@ -1,5 +1,5 @@
 """Reference forms the tests compare the solver's arithmetic and the output
-writers against, and the diagnostics they check runs with: a sampled M
+writers and readers against, and the diagnostics they check runs with: a sampled M
 estimate, the potential function, a finite-difference gradient and the
 invariants every run keeps (:func:`check_run`)."""
 
@@ -15,7 +15,7 @@ from restartagd.solver import _EPS, _NOISE_GUARD
 from restartagd.svgplot import (_MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _MAX_POINTS,
                                _PANEL_H, _PANEL_W, PALETTE, _escape, _fmt_num,
                                _linear_ticks)
-from restartagd.trace import _ROW, TRACE_COLUMNS, as_trace
+from restartagd.trace import _ROW, TRACE_COLUMNS, Trace, as_trace
 
 
 def theta(k: int) -> float:
@@ -207,6 +207,33 @@ class PlainTraceWriter:
         for K, epoch, k, n_oracle, *floats, event in rows:
             texts = ("" if v is None else repr(float(v)) for v in floats)
             self._out.write(_ROW % (K, epoch, k, n_oracle, *texts, event))
+
+
+def fill_text(K: int, epoch, k: int, tail: str, n: int) -> str:
+    """The text of ``n`` rows from ``K``, ``epoch`` and ``k`` on, ``K`` and
+    ``k`` counting up, each followed by ``tail``, built one f-string a row:
+    ``trace._fill_text`` as it was before it built NumPy byte tables."""
+    mid, end = f",{epoch},", f",{tail}"
+    return "".join([f"{a}{mid}{b}{end}" for a, b in zip(range(K, K + n), range(k, k + n))])
+
+
+def read_trace_per_field(path) -> Trace:
+    """The trace at ``path`` read by the per-field rule: each line split by
+    ``csv.reader``, then ``int`` or ``float`` of each field on its own.  Its
+    ``filled`` is the last run of rows whose line is the line before's as
+    :func:`fill_text` writes the next row, ``(0, 0)`` when there is none."""
+    trace, start, stop, before = Trace(), 0, 0, None
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        next(fh)
+        for i, line in enumerate(fh):
+            (K, epoch, k, n, *floats, event), = csv.reader([line])
+            trace.append((int(K), int(epoch), int(k), int(n),
+                          *(None if v == "" else float(v) for v in floats), event))
+            if before and line == fill_text(before[0] + 1, before[1], before[2] + 1, before[3], 1):
+                start, stop = start if stop == i else i, i + 1
+            before = (int(K), epoch, int(k), line.split(",", 3)[3])
+    trace.filled = (start, stop)
+    return trace
 
 
 # ``svgplot``'s panels as they were before they worked on NumPy views of the

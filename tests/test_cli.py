@@ -852,3 +852,5 @@ def test_a_malformed_movielens_file_exits_2_naming_its_line(
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    if command == "grid":   # the problem is built before the summary is opened
+        assert not (tmp_path / "out" / "summary.csv").exists()

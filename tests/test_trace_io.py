@@ -26,7 +26,7 @@ from restartagd import (REPORT_SCHEMA, GdParams, LL2022Params, Objective,
 from restartagd import trace as trace_module
 from restartagd.trace import EVENTS, TRACE_COLUMNS, TraceWriter
 
-from reference import PlainTraceWriter
+from reference import PlainTraceWriter, fill_text, read_trace_per_field
 
 
 def sample_records():
@@ -563,17 +563,6 @@ def test_a_stalled_trace_writes_its_filled_rows_in_blocks():
     assert out.writes <= start + math.ceil((stop - start) / 4096) + 1
 
 
-def _read_per_field(path):
-    """The trace at ``path`` read by the per-field rule: ``csv.reader``,
-    then ``int`` or ``float`` of each field on its own."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        return Trace((int(K), int(epoch), int(k), int(n), *(None if v == "" else float(v)
-                                                           for v in floats), event)
-                     for K, epoch, k, n, *floats, event in rows)
-
-
 def test_rows_that_do_not_repeat_the_last_read_as_each_field_reads(tmp_path):
     tail = (50, -1.0, 0.5, None, 1.0, NAN, 0.0, "Step")
     steps = [(10, 2, 4), (11, 2, 5), (12, 2, 6),   # these repeat
@@ -592,7 +581,7 @@ def test_rows_that_do_not_repeat_the_last_read_as_each_field_reads(tmp_path):
         fh.write("+23,3,2,50,-1.0,0.5,,1.0,nan,0.0,Step\r\n")
         fh.write("024,3,3,50,-1.0,0.5,,1.0,nan,0.0,Step\r\n")
     back = read_trace_csv(str(path))
-    assert _bits(back) == _bits(_read_per_field(str(path)))
+    assert _bits(back) == _bits(read_trace_per_field(str(path)))
     assert list(back.K) == [K for K, _, _ in steps] + [23, 24]
     assert back.filled == (12, 13)
 
@@ -602,7 +591,7 @@ def test_a_stalled_run_reads_back_filled_and_writes_back_alike(tmp_path):
     path, again = tmp_path / "trace.csv", tmp_path / "again.csv"
     write_trace_csv(str(path), trace)
     back = read_trace_csv(str(path))
-    assert back == trace and _bits(back) == _bits(_read_per_field(str(path)))
+    assert back == trace and _bits(back) == _bits(read_trace_per_field(str(path)))
     # The reader folds from the first row that repeats the one before, which
     # is no later than where the run began to fill.
     start, stop = back.filled
@@ -640,16 +629,17 @@ def test_a_bad_row_after_repeated_rows_names_its_line(tmp_path, kind, repeats):
         read_trace_csv(str(path))
 
 
-# The reader's blocks of repeated rows.  The first row that repeats the one
-# before is read as a line, then blocks of 64, 128, 256 and 512 rows, then
-# 1,024 rows a block, so a fill of 1 + 960 or 1 + 1,984 rows ends on a block
-# boundary and one of 1,000 rows inside a block.
+# The reader's blocks of repeated rows.  A row that repeats the one before
+# is read as a line, then a block of 64 rows, a line, 128 rows, a line, 256,
+# a line, 512, then a line and 1,024 rows at a time, so fills of 1, 65, 194,
+# 451, 964, 1,989 and 3,014 rows end on a block boundary and fills of 1,000
+# and 3,008 rows inside a block.
 
 def _read_alike(path, trace=None):
-    """The read of ``path``, which has the types and bits of the per-field
-    read and, when given, equals ``trace``, ``filled`` included."""
-    back, ref = read_trace_csv(str(path)), _read_per_field(str(path))
-    assert len(back.columns) == len(ref.columns)
+    """The read of ``path``, which has the types, bits and ``filled`` of the
+    per-field read and, when given, equals ``trace``, ``filled`` included."""
+    back, ref = read_trace_csv(str(path)), read_trace_per_field(str(path))
+    assert len(back.columns) == len(ref.columns) and back.filled == ref.filled
     for mine, theirs in zip(back.columns, ref.columns):   # one at a time: less memory
         assert _column_bits(mine) == _column_bits(theirs)
     if trace is not None:
@@ -657,7 +647,8 @@ def _read_alike(path, trace=None):
     return back
 
 
-@pytest.mark.parametrize("repeats", [1, 64, 65, 66, 1000, 961, 962, 1985, 3008, 3009, 3010])
+@pytest.mark.parametrize("repeats", [1, 64, 65, 66, 194, 195, 451, 452, 964, 965, 1000, 961, 962,
+                                     1985, 1989, 1990, 3008, 3009, 3010, 3014, 3015])
 @pytest.mark.parametrize("after", [(), (OTHER, ROW)], ids=["at-the-end", "rows-after"])
 def test_a_fill_read_in_blocks_reads_as_each_field_reads(tmp_path, repeats, after):
     trace = _grown([ROW], repeats, *after)
@@ -681,6 +672,29 @@ def test_a_fill_with_lf_line_ends_reads_in_blocks_alike(tmp_path):
     assert _read_alike(path, trace).filled == (3002, 4502)
 
 
+def test_a_fill_with_cr_line_ends_reads_in_blocks_alike(tmp_path):
+    # A block that stops matching is split at a lone "\r" as the file is.
+    trace = _grown([ROW], 3000, OTHER, 1500, ROW)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r"))
+    assert _read_alike(path, trace).filled == (3002, 4502)
+
+
+@pytest.mark.parametrize("mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"],
+                         ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls"])
+@pytest.mark.parametrize("repeats", [10, 500])
+def test_a_row_after_a_fill_is_split_only_at_line_ends(tmp_path, mark, repeats):
+    # ``str.splitlines`` would split this row in two; the file does not.
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), _grown([ROW], repeats))
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(f"{repeats + 2},1,{repeats + 2},4,-1.0,0.5,,2.0,1.0,0.0,St{mark}ep\r\n")
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(str(path))
+    assert str(info.value) == f"bad trace row at line {repeats + 3}: unknown event {f'St{mark}ep'!r}"
+
+
 def test_a_K_that_skips_inside_a_fill_ends_its_block(tmp_path):
     # K steps by two after row 2,000; every row but that one and the first
     # repeats the one before.
@@ -702,46 +716,144 @@ def test_a_row_cut_inside_a_fill_names_its_line(tmp_path, whole):
         read_trace_csv(str(path))
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_a_stalled_trace_reads_alike_through_a_pipe(tmp_path):
-    # A pipe cannot seek back to where a block stopped matching.
-    trace = _long_run(20_000).trace
-    path, fifo = tmp_path / "trace.csv", tmp_path / "fifo"
-    write_trace_csv(str(path), trace)
+def _read_through_a_pipe(tmp_path, path):
+    """``read_trace_csv`` of the bytes at ``path`` fed through a named pipe."""
+    fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
 
     def feed():
-        with open(fifo, "wb") as fh:
-            fh.write(path.read_bytes())
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+        except BrokenPipeError:     # the reader stopped early
+            pass
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    back = read_trace_csv(str(fifo))
-    writer.join(timeout=60)
-    assert not writer.is_alive()
+    try:
+        return read_trace_csv(str(fifo))
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+needs_pipes = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+@needs_pipes
+def test_a_stalled_trace_reads_alike_through_a_pipe(tmp_path):
+    trace = _long_run(20_000).trace
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    back = _read_through_a_pipe(tmp_path, path)
     plain = read_trace_csv(str(path))
     assert plain == trace and plain.filled[1] == 20_000
     assert _bits(back) == _bits(plain) and back.filled == plain.filled
+
+
+def _count_fill_texts(monkeypatch):
+    """The arguments of each ``_fill_text`` call from now on, as a list."""
+    calls, real = [], trace_module._fill_text
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trace_module, "_fill_text", counted)
+    return calls
+
+
+def _assert_read_in_blocks_of_1024(calls, filled):
+    start, stop = filled
+    assert len(calls) <= math.ceil((stop - start) / 1024) + 8
+    assert sum(args[-1] for args in calls) >= stop - start - 1024   # the rows they cover
+    assert max(args[-1] for args in calls) == 1024
 
 
 def test_a_long_fill_is_read_in_blocks_of_1024_rows(tmp_path, monkeypatch):
     trace = _long_run(200_000).trace
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), trace)
-    calls = []
-    fill_text = trace_module._fill_text
-
-    def counted(*args):
-        calls.append(args)
-        return fill_text(*args)
-
-    monkeypatch.setattr(trace_module, "_fill_text", counted)
+    calls = _count_fill_texts(monkeypatch)
     back = read_trace_csv(str(path))
-    start, stop = back.filled
-    assert back == trace and stop == 200_000
-    assert len(calls) <= math.ceil((stop - start) / 1024) + 8
-    assert sum(args[-1] for args in calls) >= stop - start - 1024   # the rows they cover
-    assert max(args[-1] for args in calls) == 1024
+    assert back == trace and back.filled[1] == 200_000
+    _assert_read_in_blocks_of_1024(calls, back.filled)
+
+
+@needs_pipes
+def test_a_long_fill_is_read_through_a_pipe_in_blocks_as_from_the_file(tmp_path, monkeypatch):
+    # The long-trace benchmark's trace: 49,893 of its 50,000 rows are a fill.
+    trace = _long_run(50_000).trace
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace)
+    plain = read_trace_csv(str(path))
+    calls = _count_fill_texts(monkeypatch)
+    back = _read_through_a_pipe(tmp_path, path)
+    assert back == plain == trace and back.filled == plain.filled == trace.filled
+    assert _bits(back) == _bits(plain) and back.filled[1] == 50_000
+    _assert_read_in_blocks_of_1024(calls, back.filled)
+
+
+@needs_pipes
+@pytest.mark.parametrize("whole", [100, 961, 3000])
+def test_a_row_cut_inside_a_fill_names_its_line_through_a_pipe(tmp_path, whole):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), _grown([ROW], 5000))
+    lines = path.read_bytes().split(b"\r\n")
+    cut = lines[whole + 1]      # the row after ``whole`` rows and the header
+    path.write_bytes(b"\r\n".join(lines[:whole + 1] + [cut[:len(cut) // 2]]))
+    with pytest.raises(ValueError, match=f"line {whole + 2}:") as from_file:
+        read_trace_csv(str(path))
+    with pytest.raises(ValueError) as from_pipe:
+        _read_through_a_pipe(tmp_path, path)
+    assert str(from_pipe.value) == str(from_file.value)
+
+
+# ``_fill_text`` against the one-f-string-a-row form: (K, epoch, k, n).
+# K and k cross 9 -> 10, 99 -> 100 and 9,999 -> 10,000 at different rows.
+FILL_TEXT_CASES = {
+    "K-crosses-first": (5, 1, 95, 10_000),
+    "k-crosses-first": (95, 1, 5, 10_000),
+    "both-at-once": (9_990, 2, 9_990, 20),
+    "k-from-0": (7, 3, 0, 105),
+    "epoch-int": (98, 12_345, 1, 4_096),
+    "epoch-text": (98, "12345", 1, 4_096),
+    "epoch-signed-text": (98, "+012", 1, 300),
+    "epoch-fullwidth": (98, "\uff11\uff12", 1, 300),
+    "epoch-arabic-indic": (98, "\u0661", 1, 300),
+    "one-row": (1, 1, 1, 1),
+    "one-row-near-1e15": (10**15 - 1, 4, 10**15 - 1, 1),
+    "across-1e15": (10**15 - 3, 4, 10**15 - 700, 1_024),
+    "below-zero": (-12, 1, -105, 130),
+}
+FILL_TAILS = {
+    "crlf": "232,-10.0,3.8726732145403874e-16,,1.088391168,0.34765796067902904,0.0,Step\r\n",
+    "lf": "4,-1.0,0.5,,2.0,1.0,0.0,Step\n",
+    "non-ascii": "4,-\uff11.\u0665,0.5,,\u0662.0,1.0,0.0,Step\r\n",
+}
+
+
+@pytest.mark.parametrize("tail", sorted(FILL_TAILS))
+@pytest.mark.parametrize("case", sorted(FILL_TEXT_CASES))
+def test_fill_text_equals_the_one_f_string_a_row_form(case, tail):
+    K, epoch, k, n = FILL_TEXT_CASES[case]
+    args = (K, epoch, k, FILL_TAILS[tail], n)
+    assert trace_module._fill_text(*args) == fill_text(*args)
+
+
+def test_a_fill_with_non_ascii_digits_reads_as_each_field_reads(tmp_path):
+    # ``int`` and ``float`` read digits such as "\uff17" and "\u0661", so a fill
+    # whose epoch or float text holds them still reads back row for row.
+    tails = ["4,-\uff11.\u0665,0.5,,2.0,1.0,0.0,Step\r\n", "6,0.25,\u0661e-3,0.5,2.0,1.0,0.0,Step\r\n",
+             "8,\u0661\u0662.5,0.5,,2.0,\uff17.0,0.0,Step\n"]
+    rows = [(K, "\uff17\u0661" if K < 400 else "\u0663", K, tail)
+            for K, tail in zip(range(90, 1_390), [tails[0]] * 300 + [tails[1]] * 700 + [tails[2]] * 300)]
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\r\n" + "".join(
+        f"{K},{epoch},{k},{tail}" for K, epoch, k, tail in rows), encoding="utf-8", newline="")
+    back = _read_alike(path)
+    assert back.filled == (1_001, 1_300) and list(back.epoch[:2]) == [71, 71]
+    assert list(back.K) == list(range(90, 1_390))
 
 
 def test_repeat_last_keeps_its_spare_copy_small():
