@@ -255,9 +255,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The running grid's problems in this process, by their settings: a grid's
+# cells share one problem, so each process builds it (and reads its data
+# file) once.  Sharing is safe: the completion memo is keyed on a point's
+# bytes, and ``drive`` copies ``x_init``.  A repr is a key for any setting.
+_grid_problems: Dict[str, ProblemSpec] = {}
+
+
 def _grid_worker(payload: dict) -> dict:
     s = payload["settings"]
-    spec = _make_problem(s)
+    key = repr([s[k] for k in ("problem", "seed", "dim", "lam", "rank", "fraction", "data_path")])
+    spec = _grid_problems[key] = _grid_problems.get(key) or _make_problem(s)
     row = {
         "problem": spec.name, "solver": s["solver"],
         "l_init": repr(float(s["l_init"])),
@@ -321,6 +329,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
                "certified_grad_norm", "n_oracle", *thr_columns, "error"]
     summary_path = os.path.join(out_dir, "summary.csv")
     with contextlib.ExitStack() as stack:
+        stack.callback(_grid_problems.clear)
         cells = map(_grid_worker, payloads.values())
         if args.parallel and args.parallel > 1:
             # Loaded only here: it pulls in ``multiprocessing``, never needed serially.

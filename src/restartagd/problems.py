@@ -93,8 +93,8 @@ class MatrixCompletionInstance:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= self.q:
                 raise ValueError("column index out of range")
-            codes = rows * self.q + cols
-            if np.unique(codes).size != codes.size:
+            codes = np.sort(rows * self.q + cols)
+            if np.any(codes[1:] == codes[:-1]):
                 raise ValueError("duplicate (row, column) observation")
         if not np.all(np.isfinite(vals)):
             raise ValueError("observed values must be finite")
@@ -120,12 +120,12 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
     The value and the gradient share their costly part.  The objective keeps
     a single-slot memo of the last point evaluated, keyed on its bytes, that
     holds the residual and U^T U - V^T V there, so a value and a gradient at
-    one point compute them once.  The gradient's sparse products run on a CSR
-    matrix of the observations and a CSR of its transpose, both built once;
-    every gradient overwrites their data arrays.  Results are bit-identical
-    to computing everything afresh, and every returned gradient is a new
-    array.  Because of the memo and the shared buffers, one objective must
-    not be called from two threads at once.
+    one point compute them once.  The gradient's sparse part is one product
+    with a CSR matrix [[0, R], [R^T, 0]] of the observations, built once,
+    whose data array every gradient rebinds to the residual.  Results are
+    bit-identical to computing everything afresh, and every returned
+    gradient is a new array.  Because of the memo and the shared matrix, one
+    objective must not be called from two threads at once.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -142,44 +142,43 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
     # the package and only the completion problems use it.
     from scipy import sparse
 
-    # Fixed sparsity structure, reused for every gradient: slot j of the CSR
-    # data array holds observation perm[j], and slot j of the transpose's
-    # holds observation perm_t[j].  The transpose has sorted indices, so its
-    # products add up in the same order as a CSC product with rmat.T.
-    rmat = sparse.csr_matrix(
-        (np.arange(1, n + 1, dtype=np.float64), (rows, cols)), shape=(p, q)
-    )
-    perm = rmat.data.astype(np.int64) - 1
-    rmat_t = rmat.T.tocsr()
-    rmat_t.sort_indices()
-    perm_t = rmat_t.data.astype(np.int64) - 1
+    # Fixed sparsity structure, reused for every gradient: B = [[0, R], [R^T, 0]],
+    # so B @ [U; V] = [R V; R^T U], and slot j of its data array holds
+    # observation perm[j].  Each row's entries are in column order, so its
+    # products add up in the same order as R @ V and a CSC product with R.T.
+    size = p + q
+    stacked = sparse.csr_matrix((np.arange(1.0, 2 * n + 1), (
+        np.concatenate([rows, cols + p]), np.concatenate([cols + p, rows]))), shape=(size, size))
+    perm = (stacked.data.astype(np.int64) - 1) % n
     scale = 1.0 / n
+    # The balance term's factor: +2/N on the U rows, -2/N on the V rows.
+    balance = np.where(np.arange(size) < p, 2.0 * scale, -2.0 * scale)[:, None]
     last = (None, None, None)  # (key, residual, gram difference)
 
     def evaluate(v: Vector):
         nonlocal last
-        u = v[: p * rank].reshape(p, rank)
-        w = v[p * rank:].reshape(q, rank)
+        x = v.reshape(size, rank)
         key = v.tobytes()
         if key == last[0]:
-            return u, w, last[1], last[2]
+            return x, last[1], last[2]
+        u, w = x[:p], x[p:]
         r = np.einsum("ij,ij->i", np.take(u, rows, axis=0),
                       np.take(w, cols, axis=0)) - vals
         d = u.T @ u - w.T @ w
         last = (key, r, d)
-        return u, w, r, d
+        return x, r, d
 
     def value(v: Vector) -> float:
-        _, _, r, d = evaluate(v)
+        _, r, d = evaluate(v)
         return 0.5 * scale * (float(r @ r) + float(np.sum(d * d)))
 
     def grad(v: Vector) -> Vector:
-        u, w, r, d = evaluate(v)
-        rmat.data[:] = r[perm]
-        rmat_t.data[:] = r[perm_t]
-        gu = scale * (rmat @ w) + 2.0 * scale * (u @ d)
-        gw = scale * (rmat_t @ u) - 2.0 * scale * (w @ d)
-        return np.concatenate([gu.ravel(), gw.ravel()])
+        x, r, d = evaluate(v)
+        stacked.data = r[perm]
+        # Two products, not one x @ d: BLAS may sum a row of x @ d in another
+        # order than the same row of u @ d (a one-row U goes to gemv, for one).
+        e = np.concatenate([x[:p] @ d, x[p:] @ d])
+        return (scale * (stacked @ x) + balance * e).ravel()
 
     return Objective(dim=dim, value_fn=value, grad_fn=grad, lower_bound=0.0)
 

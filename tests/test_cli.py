@@ -11,7 +11,7 @@ import warnings
 import jsonschema
 import pytest
 
-from restartagd import (REPORT_SCHEMA, baselines, cli, read_trace_csv, solver,
+from restartagd import (REPORT_SCHEMA, baselines, cli, problems, read_trace_csv, solver,
                         write_trace_csv)
 from restartagd.cli import main
 
@@ -296,28 +296,61 @@ def test_an_interrupted_serial_grid_keeps_the_finished_cells_rows(tmp_path, monk
     cfg.write_text(GRID_CFG)
     whole = str(tmp_path / "whole")
     assert main(["grid", "--config", str(cfg), "--out", whole]) == 0
-    built, make = [], cli.make_problem
+    solved, solve = [], solver.run
 
     def interrupt(x):
         raise KeyboardInterrupt
 
-    def make_problem(*args, **kwargs):  # the second cell's gradient is a Ctrl-C
-        spec = make(*args, **kwargs)
-        built.append(spec)
-        if len(built) == 2:
-            spec = dataclasses.replace(spec, objective=dataclasses.replace(
-                spec.objective, grad_fn=interrupt))
-        return spec
+    def run(obj, x_init, params):  # the second cell's gradient is a Ctrl-C
+        solved.append(obj)
+        if len(solved) == 2:
+            obj = dataclasses.replace(obj, grad_fn=interrupt)
+        return solve(obj, x_init, params)
 
-    monkeypatch.setattr(cli, "make_problem", make_problem)
+    monkeypatch.setattr(solver, "run", run)
     out = str(tmp_path / "cut")
     with pytest.raises(KeyboardInterrupt):
         main(["grid", "--config", str(cfg), "--out", out])
-    assert len(built) == 2
+    assert len(solved) == 2
     with open(os.path.join(out, "summary.csv"), "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     with open(os.path.join(whole, "summary.csv"), "r", encoding="utf-8") as fh:
         assert lines == fh.read().splitlines()[:2]
+
+
+class _Forgetful(dict):
+    """A problem cache that never finds anything: every cell builds its own."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_a_grid_builds_its_problem_once_per_process(tmp_path, monkeypatch):
+    # 40 distinct (user, item) pairs: i mod 7 and i mod 11 fix i below 77.
+    data = tmp_path / "u.data"
+    data.write_text("".join(f"{1 + i % 7}\t{1 + i % 11}\t{1 + i % 5}\t0\n" for i in range(40)))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"grid:\n  problem: movielens\n  data_path: {data}\n  rank: 1\n"
+                   "  max_oracle_calls: 300\n")
+    loads, load = [], problems.load_movielens_100k
+
+    def counted(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(problems, "load_movielens_100k", counted)
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(loads) == 1 and len(_summary_rows(out)) == 12
+    # The same grid with a problem built afresh per cell writes the same bytes.
+    out.rename(tmp_path / "shared")
+    monkeypatch.setattr(cli, "_grid_problems", _Forgetful())
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(loads) == 1 + 12
+    files = sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
+    assert len(files) == 1 + 12 * 2
+    for name in files:
+        assert (out / name).read_bytes() == (tmp_path / "shared" / name).read_bytes(), name
 
 
 # Eight cells of 0.2 s each: two run at a time, so an interrupt after the

@@ -198,6 +198,14 @@ def _gap_instance():
     )
 
 
+def _shuffled_instance(p, q, fraction, seed):
+    # a synthetic instance with its observations out of row-major order
+    inst = synthetic_completion_instance(p=p, q=q, fraction=fraction, seed=seed)
+    order = np.random.default_rng(seed).permutation(inst.n_observed)
+    return MatrixCompletionInstance(p=p, q=q, rows=inst.rows[order],
+                                    cols=inst.cols[order], vals=inst.vals[order])
+
+
 _KERNEL_CASES = [
     pytest.param(synthetic_completion_instance(p=30, q=20, rank=3, seed=7), 1,
                  id="rank1"),
@@ -210,6 +218,11 @@ _KERNEL_CASES = [
     pytest.param(synthetic_completion_instance(p=12, q=9, rank=2, fraction=1.0,
                                                seed=3), 2, id="fully-observed"),
     pytest.param(_gap_instance(), 2, id="unobserved-row-and-column"),
+    # Ranks and row counts where BLAS falls back to its remainder kernels,
+    # and a one-row U, whose product NumPy hands to a matrix-vector kernel.
+    pytest.param(_shuffled_instance(1, 12, 1.0, seed=4), 8, id="one-row-rank8"),
+    pytest.param(_shuffled_instance(23, 14, 0.5, seed=5), 9, id="shuffled-rank9"),
+    pytest.param(_shuffled_instance(300, 200, 0.2, seed=6), 37, id="shuffled-300x200-rank37"),
 ]
 
 
@@ -327,6 +340,10 @@ def test_instance_validation():
     with pytest.raises(ValueError):  # duplicate observation
         MatrixCompletionInstance(p=2, q=2, rows=np.array([0, 0]),
                                  cols=np.array([1, 1]), vals=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="duplicate"):  # not adjacent in input order
+        MatrixCompletionInstance(p=3, q=3, rows=np.array([2, 0, 1, 2]),
+                                 cols=np.array([1, 0, 2, 1]),
+                                 vals=np.array([1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(ValueError):  # non-finite rating
         MatrixCompletionInstance(p=2, q=2, rows=np.array([0]),
                                  cols=np.array([0]), vals=np.array([np.nan]))
