@@ -160,7 +160,8 @@ def ll2022_run(obj: Objective, x_init, params: LL2022Params) -> RunReport:
     and never evaluates the objective value (the f column in the trace is a
     free diagnostic, computed outside the counted oracle).  When the iterate
     equals the point of the last gradient, which is every restart, an
-    objective that memoizes its last point (as matrix completion does) can
-    serve the diagnostic at almost no cost.
+    objective that memoizes its last evaluated point (as matrix completion
+    does, besides the gradients of its last 6 points) can serve the
+    diagnostic at almost no cost.
     """
     return drive(obj, x_init, params, _LL2022)

@@ -123,11 +123,9 @@ def _load_config(path: Optional[str], section: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}")
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
+    if doc is not None and not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    sec = {} if doc.get(section) is None else doc[section]
+    sec = {} if doc is None or doc.get(section) is None else doc[section]
     if not isinstance(sec, dict):
         raise ConfigError(f"{path}: section {section!r} must be a mapping")
     return sec
@@ -153,11 +151,10 @@ def _solver(name) -> _Solver:
     return SOLVERS[name]
 
 
-def _make_problem(s: dict, problem: Optional[str] = None) -> ProblemSpec:
-    name = problem or s["problem"]
+def _make_problem(s: dict) -> ProblemSpec:
     try:
         return make_problem(
-            name, seed=_whole(s, "seed"), dim=s.get("dim"), lam=float(s.get("lam", 1.0)),
+            s["problem"], seed=_whole(s, "seed"), dim=s.get("dim"), lam=float(s.get("lam", 1.0)),
             rank=s.get("rank"), fraction=float(s.get("fraction", 0.3)),
             data_path=s.get("data_path"),
         )
@@ -257,7 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 # The running grid's problems in this process, by their settings: a grid's
 # cells share one problem, so each process builds it (and reads its data
-# file) once.  Sharing is safe: the completion memo is keyed on a point's
+# file) once.  Sharing is safe: the completion memos are keyed on a point's
 # bytes, and ``drive`` copies ``x_init``.  A repr is a key for any setting.
 _grid_problems: Dict[str, ProblemSpec] = {}
 
@@ -280,14 +277,10 @@ def _grid_worker(payload: dict) -> dict:
     row["reason"] = report.reason
     row["certified_grad_norm"] = repr(float(report.certified_grad_norm))
     row["n_oracle"] = str(report.n_oracle)
-    for thr in payload["thresholds"]:
+    for col, thr in payload["thresholds"].items():
         hit = next((c for c, norm in zip(*report.certified) if norm <= thr), None)
-        row[_thr_col(thr)] = "" if hit is None else str(hit)
+        row[col] = "" if hit is None else str(hit)
     return row
-
-
-def _thr_col(thr: float) -> str:
-    return f"calls_to_{thr:g}"
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -303,10 +296,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
             raise ConfigError(f"{key} must not be an empty list")
     if not all(map(math.isfinite, thresholds)):
         raise ConfigError(f"thresholds must be finite, not {thresholds!r}")
-    thr_columns = [_thr_col(t) for t in thresholds]
-    for col in thr_columns:
-        if thr_columns.count(col) > 1:  # a repeated value, or two equal in %g
-            raise ConfigError(f"two thresholds share the summary column {col!r}")
+    thr_columns = {f"calls_to_{t:g}": t for t in thresholds}  # by summary column
+    if len(thr_columns) < len(thresholds):  # a repeated value, or two equal in %g
+        raise ConfigError(f"two of the thresholds {thresholds} share a summary column")
     out_dir = _out_dir(s, GRID_DEFAULTS["out"])
 
     payloads = {}  # by tag, the cell's directory name
@@ -321,7 +313,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 payloads[tag] = {
                     "settings": cell,
                     "cell_dir": os.path.join(out_dir, tag),
-                    "thresholds": thresholds,
+                    "thresholds": thr_columns,
                 }
     os.makedirs(out_dir, exist_ok=True)
 
@@ -398,7 +390,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     failures = 0
     for name in _names(s["problems"], "problems"):
-        spec = _make_problem(s, problem=name)
+        spec = _make_problem(dict(s, problem=name))
         obj = spec.objective
         L, M = _box_constants(spec, box)
         L *= l_scale

@@ -281,6 +281,38 @@ def test_completion_returned_gradient_is_caller_owned():
     assert obj.grad_fn(x).tobytes() == expected.tobytes()
     assert obj.value_fn(x) == ref.value_fn(x)
     _assert_same(obj, ref, x)
+    # A gradient served from an older entry of the memo, and the one first
+    # computed for it, are the caller's too: mutating either leaves the entry.
+    points = np.random.default_rng(5).standard_normal((3, obj.dim))
+    first = obj.grad_fn(points[0])
+    truth = [ref.grad_fn(y).tobytes() for y in points]
+    for y in points[1:]:
+        obj.grad_fn(y)
+    first[:] = 7.0
+    served = obj.grad_fn(points[0])
+    assert served.tobytes() == truth[0]
+    served[:] = -7.0
+    assert [obj.grad_fn(y).tobytes() for y in points] == truth
+
+
+def test_completion_gradients_of_the_last_six_points_are_served_from_the_memo():
+    # White-box, as below: after gradients at p1..p6, changing the observed
+    # data does not reach p1's gradient, which comes back with the old bits
+    # as a new array.  A seventh point, the sixth newer than p1, pushes p1
+    # out, so its gradient is computed afresh and sees the change.
+    inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=6)
+    obj = matrix_completion(inst, 2)
+    points = np.random.default_rng(7).standard_normal((7, obj.dim))
+    old = [obj.grad_fn(y) for y in points[:6]]
+    inst.vals[:] += 1.0
+    changed = _reference_completion(inst, 2)
+    for y, g in zip(points[:6], old):
+        again = obj.grad_fn(y)
+        assert again is not g and again.tobytes() == g.tobytes()
+        assert again.tobytes() != changed.grad_fn(y).tobytes()
+    assert obj.grad_fn(points[6]).tobytes() == changed.grad_fn(points[6]).tobytes()
+    assert obj.grad_fn(points[1]).tobytes() == old[1].tobytes()
+    assert obj.grad_fn(points[0]).tobytes() == changed.grad_fn(points[0]).tobytes()
 
 
 def test_completion_value_after_grad_reuses_the_residual():
