@@ -41,39 +41,34 @@ class ConfigError(Exception):
 
 class _Solver(NamedTuple):
     """A solver: the module and name of its entry point, looked up at call
-    time, its params class, the setting each params field is read from, and
-    whether ``grid`` runs it once per m0 value."""
+    time, its params class and the setting each params field is read from.
+    ``grid`` runs it once per m0 value when one of its fields reads ``m0``."""
 
     module: Any
     entry: str
     params: type
     fields: Dict[str, str]
-    sweeps_m0: bool
 
 
 SOLVERS = {
     "proposed": _Solver(agd, "run", agd.SolverParams, {
         "l_init": "l_init", "m0": "m0", "alpha": "alpha", "beta": "beta",
-        "m_variant": "m_variant"}, sweeps_m0=True),
+        "m_variant": "m_variant"}),
     "gd": _Solver(baselines, "gd_run", baselines.GdParams, {
-        "l_init": "l_init", "alpha": "alpha", "beta": "beta"}, sweeps_m0=False),
+        "l_init": "l_init", "alpha": "alpha", "beta": "beta"}),
     "ll2022": _Solver(baselines, "ll2022_run", baselines.LL2022Params, {
-        "l_f": "l_init", "m_f": "m0", "eps": "ll_eps"}, sweeps_m0=True),
+        "l_f": "l_init", "m_f": "m0", "eps": "ll_eps"}),
 }
 
 
-# Settings that ``run`` and every ``grid`` cell read the same way.
+# Settings that ``run`` and every ``grid`` cell read the same way, each
+# solver setting defaulting to the library's own default.
 _SOLVE_DEFAULTS = {
     "problem": "rosenbrock",
-    "m_variant": "practical",
-    "certify_mode": "OnCandidate",
-    "alpha": 2.0,
-    "beta": 0.9,
-    "eps": 1e-6,
-    "max_oracle_calls": 100_000,
-    "max_iterations": None,
-    "max_seconds": None,
-    "ll_eps": 1e-16,
+    **{key: getattr(agd.SolverParams, key)
+       for key in ("l_init", "m0", "alpha", "beta", "m_variant")},
+    **dataclasses.asdict(agd.DEFAULT_TERMINATION),
+    "ll_eps": baselines.LL2022Params.eps,
     "seed": 0,
     "dim": None,
     "lam": 1.0,
@@ -85,8 +80,6 @@ _SOLVE_DEFAULTS = {
 RUN_DEFAULTS = {
     **_SOLVE_DEFAULTS,
     "solver": "proposed",
-    "l_init": 1e-3,
-    "m0": 1e-16,
     "out": None,
 }
 
@@ -303,7 +296,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     payloads = {}  # by tag, the cell's directory name
     for solver_name, solver in solvers:
-        m_axis = m_values if solver.sweeps_m0 else [None]
+        m_axis = m_values if "m0" in solver.fields.values() else [None]
         for l_val in l_values:
             for m_val in m_axis:
                 cell = dict(s, solver=solver_name, l_init=l_val, m0=m_val)

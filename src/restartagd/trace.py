@@ -300,13 +300,12 @@ def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:
 
 
 def read_trace_csv(path: str) -> Trace:
-    """Read a trace CSV back into a :class:`Trace`, filling its columns
-    directly.  Fields are split at commas, as the writer, which never quotes
-    one, leaves them; CRLF and LF line ends both read.  A row that
-    is not exactly ``len(TRACE_COLUMNS)`` fields wide (the cut last line of a
-    killed write, or a quoted field holding a comma), holds a malformed
-    number (a quoted one, say) or an event not in ``EVENTS`` raises
-    ``ValueError`` naming its line.
+    """Read a trace CSV back into a :class:`Trace`.  Fields are split at
+    commas, as the writer, which never quotes one, leaves them; CRLF and LF
+    line ends both read.  A row that is not exactly ``len(TRACE_COLUMNS)``
+    fields wide (the cut last line of a killed write, or a quoted field
+    holding a comma), holds a malformed number (a quoted one, say) or an
+    event not in ``EVENTS`` raises ``ValueError`` naming its line.
 
     A row whose ``epoch`` and text after ``k`` equal the previous row's, and
     whose ``K`` and ``k`` are each one higher, repeats it: such rows are
@@ -321,16 +320,17 @@ def read_trace_csv(path: str) -> Trace:
     file, with no block compared until those lines are read.  The file is
     never asked to ``tell`` or ``seek``, so a pipe reads as a file does.
 
-    Any other row is parsed field by field, and a float field whose text
+    Any other row is parsed field by field and added by
+    :meth:`Trace.append`.  A ``grad_norm_ybar``, ``L`` or ``M`` whose text
     repeats the previous row's is not parsed again: it holds the previous
-    row's float, as the run's own trace holds one object for an epoch's
-    ``L``.  Equal text is equal bits, so either way every field reads
-    exactly as ``int`` and ``float`` would read it."""
+    row's float object, as the run's own trace holds one object for an
+    epoch's ``L``.  The other floats go into ``array("d")`` columns, which
+    keep bits, not objects, so they are parsed on every row.  Equal text is
+    equal bits, so either way every field reads exactly as ``int`` and
+    ``float`` would read it."""
     trace = Trace()
-    (add_K, add_epoch, add_k, add_n_oracle, add_f_x, add_monitor, add_ybar,
-     add_L, add_M, add_S_k, add_event) = trace._appends
-    # The last row's text of each float field; None matches no text.
-    f_text = g_text = y_text = L_text = M_text = S_text = None
+    # The last row's text of grad_norm_ybar, L and M; None matches no text.
+    y_text = L_text = M_text = None
     # The last row's K, k, epoch text and text after k.  A line holds a line
     # break only at its end, so none repeats the "row" before the first.
     K = k = repeats = 0
@@ -360,35 +360,20 @@ def read_trace_csv(path: str) -> Trace:
                     if repeats:
                         trace.repeat_last(repeats)
                         repeats, block = 0, 64
-                    (K, epoch, k, n_oracle, f_row, g_row, y_row, L_row, M_row, S_row,
+                    (K, epoch, k, n_oracle, f_x, monitor, y_row, L_row, M_row, S_k,
                      event) = line.rstrip("\r\n").split(",")
                     K, k, tail = int(K), int(k), line.split(",", 3)[3]
-                    if f_row != f_text:
-                        f_x, f_text = float(f_row), f_row
-                    if g_row != g_text:
-                        monitor, g_text = float(g_row), g_row
                     if y_row != y_text:
                         ybar, y_text = None if y_row == "" else float(y_row), y_row
                     if L_row != L_text:
                         L, L_text = float(L_row), L_row
                     if M_row != M_text:
                         M, M_text = float(M_row), M_row
-                    if S_row != S_text:
-                        S_k, S_text = float(S_row), S_row
                     name = _EVENT_NAMES.get(event)
                     if name is None:
                         raise ValueError(f"unknown event {event!r}")
-                    add_K(K)
-                    add_epoch(int(epoch))
-                    add_k(k)
-                    add_n_oracle(int(n_oracle))
-                    add_f_x(f_x)
-                    add_monitor(monitor)
-                    add_ybar(ybar)
-                    add_L(L)
-                    add_M(M)
-                    add_S_k(S_k)
-                    add_event(name)
+                    trace.append((K, int(epoch), k, int(n_oracle), float(f_x), float(monitor),
+                                  ybar, L, M, float(S_k), name))
         except ValueError as exc:
             # The line after the header, the rows read whole and the repeats
             # not yet appended (``event`` grows last, so it counts whole rows).

@@ -211,7 +211,7 @@ def test_whole_float_budgets_are_accepted(tmp_path):
 
 
 def test_cli_defaults_match_library_defaults():
-    # The CLI's defaults are literal; they must stay the library's defaults.
+    # The CLI reads its defaults from the library; they must stay the library's defaults.
     d = cli.RUN_DEFAULTS
     params, pol = solver.SolverParams(), solver.DEFAULT_TERMINATION
     for key in ("l_init", "m0", "alpha", "beta", "m_variant"):

@@ -332,6 +332,7 @@ def test_a_trace_of_rows_equals_the_trace_of_the_equal_records(tmp_path):
     # A NaN read from a float array is a new object, which no record equals.
     assert _bits(from_rows) == _bits(from_recs) and from_rows[0] == recs[0]
     assert type(from_rows.L[0]) is int and from_rows.grad_norm_ybar[0] is None
+    assert repr(from_rows) == repr(from_recs) == f"Trace({recs!r})"
     # Appending mixes the two shapes; writing takes either.
     from_rows.append(recs[0])
     from_recs.append(rows[0])

@@ -17,6 +17,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "restartagd"
 
+# The most code lines the package may hold (ROADMAP item 5).
+BUDGET = 1500
+
 
 def docstrings(tree: ast.Module) -> list:
     """The statements that are module, class or function docstrings."""
