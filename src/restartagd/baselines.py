@@ -34,10 +34,12 @@ class GdParams:
 
 
 class _Gd:
-    """The step object of :func:`gd_run`.  It never stalls: even where its
-    step cannot move the point, each accepted step appends an anchor and
-    each rejected one starts an epoch, so no row repeats the last but ``K``
-    and ``k``."""
+    """The step object of :func:`gd_run`.  It is never marked stalled, so only
+    a budget or the clock stops it, yet it can sit at a fixed point: on
+    ``cosine_sum`` with ``l_init=1`` and ``max_iterations=2000`` it makes its
+    last call at row 7 (16 calls), and each of the 1,993 rows after it
+    repeats that row but for ``K`` and ``k`` while one anchor is appended a
+    row (2,001 in all).  Stopping it there is ROADMAP item 1."""
 
     def __init__(self, session: OracleSession, x0: Vector, params: GdParams):
         self.session, self.params = session, params
@@ -161,7 +163,7 @@ def ll2022_run(obj: Objective, x_init, params: LL2022Params) -> RunReport:
     free diagnostic, computed outside the counted oracle).  When the iterate
     equals the point of the last gradient, which is every restart, an
     objective that memoizes its last evaluated point (as matrix completion
-    does, besides the gradients of its last 6 points) can serve the
-    diagnostic at almost no cost.
+    does, besides its process-wide cache of recent points' values and
+    gradients) can serve the diagnostic at almost no cost.
     """
     return drive(obj, x_init, params, _LL2022)

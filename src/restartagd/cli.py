@@ -247,8 +247,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 # The running grid's problems in this process, by their settings: a grid's
 # cells share one problem, so each process builds it (and reads its data
-# file) once.  Sharing is safe: the completion memos are keyed on a point's
-# bytes, and ``drive`` copies ``x_init``.  A repr is a key for any setting.
+# file) once.  Sharing is safe: the completion objective's cache entries are
+# keyed on its own token and a point's bytes, and ``drive`` copies
+# ``x_init``.  The cache is one per process, so each worker process of a
+# parallel grid has its own.  A repr is a key for any setting.
 _grid_problems: Dict[str, ProblemSpec] = {}
 
 

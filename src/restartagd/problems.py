@@ -7,8 +7,9 @@ seed so that rebuilding a problem reproduces the same oracle bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import os
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,6 +106,30 @@ class MatrixCompletionInstance:
         return int(self.rows.size)
 
 
+# Values and gradients at recent points of every completion objective in the
+# process, least recently used first: (token, point bytes) -> [value or None,
+# gradient or None].  One bound for the process, not one per objective,
+# because callers keep many objectives alive (a benchmark pass holds 40).  64
+# points hold every point that a benchmark instance's solves ask for again; a
+# point costs at most 16 * dim bytes (key and gradient), so at a large dim
+# fewer are kept, within 32 MiB.
+_POINTS: "OrderedDict[tuple, list]" = OrderedDict()
+_POINTS_MAX, _POINTS_BYTES = 64, 32 << 20
+_TOKENS = itertools.count()  # one per objective, never reused
+
+
+def _point_entry(key: tuple, limit: int) -> list:
+    """The cache entry at ``key``, made most recent; a new one if absent."""
+    entry = _POINTS.get(key)
+    if entry is not None:
+        _POINTS.move_to_end(key)
+        return entry
+    entry = _POINTS[key] = [None, None]
+    while len(_POINTS) > limit:
+        _POINTS.popitem(last=False)
+    return entry
+
+
 def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objective:
     """Factorized completion objective over x = vec(U rows, then V rows).
 
@@ -121,20 +146,26 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
     The value and the gradient share their costly part.  The objective keeps
     a single-slot memo of the last point evaluated, keyed on its bytes, that
     holds the residual and U^T U - V^T V there, so a value and a gradient at
-    one point compute them once.  It also keeps the gradients of the last 6
-    points whose gradient it computed, oldest dropped first, keyed the same
-    way: the proposed method certifies at its epoch's anchor, which it
-    evaluated a few points before, and gets that gradient back without
-    recomputing it.  An entry costs 16 * dim bytes (key and gradient), about
-    25 MB for the 6 at MovieLens rank 100.  The gradient's sparse part is one
-    product with a CSR matrix [[0, R], [R^T, 0]] of the observations, built
-    once, whose data array each computed gradient binds to the permuted
-    residual and then to an empty array, so no residual is held between
-    gradients.  Results are bit-identical to computing everything afresh,
-    and every returned gradient is a new array.  A ``grid`` shares one
-    objective, and so its memos, across its cells, with the same bits as a
-    problem built per cell.  Because of the memos and the shared matrix, one
-    objective must not be called from two threads at once.
+    one point compute them once.  Values and gradients are also kept in one
+    cache for the whole process, keyed on a token the objective takes when
+    it is built (never reused, so two objectives never share an entry) and
+    the point's bytes, least recently used dropped first: the proposed
+    method certifies at its epoch's anchor, evaluated a few points before,
+    and runs from one start on one objective ask again for points an earlier
+    run evaluated.  The cache holds at most 64 points, and fewer where 16 *
+    dim bytes a point (key and gradient) would pass 32 MiB at the inserting
+    objective's dim: 7 points, about 29 MB, at MovieLens rank 100.  The
+    gradient's sparse part is one product with a CSR matrix [[0, R], [R^T,
+    0]] of the observations, built once, whose data array each computed
+    gradient binds to the permuted residual and then to an empty array, so
+    no residual is held between gradients.  Results are bit-identical to
+    computing everything afresh, and every returned gradient is a new array.
+    A ``grid`` shares one objective, and so its entries, across its cells,
+    with the same bits as a problem built per cell.  The package runs no
+    threads and a parallel ``grid`` runs its cells in processes; because the
+    cache is shared and unlocked, and each objective has its memo and its
+    matrix, no two completion objectives may be called from two threads at
+    once.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -162,8 +193,9 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
     # The balance term's factor: +2/N on the U rows, -2/N on the V rows.
     balance = np.where(np.arange(size) < p, 2.0 * scale, -2.0 * scale)[:, None]
     last = (None, None, None)  # (key, residual, gram difference)
-    grads = deque(maxlen=6)  # (key, gradient) at the last points whose gradient was computed
     no_data = np.empty(0)
+    token = next(_TOKENS)
+    limit = min(_POINTS_MAX, _POINTS_BYTES // (16 * dim))
 
     def evaluate(v: Vector, key: bytes):
         nonlocal last
@@ -177,14 +209,18 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
         return x, r, d
 
     def value(v: Vector) -> float:
-        _, r, d = evaluate(v, v.tobytes())
-        return 0.5 * scale * (float(r @ r) + float(np.sum(d * d)))
+        key = v.tobytes()
+        entry = _point_entry((token, key), limit)
+        if entry[0] is None:
+            _, r, d = evaluate(v, key)
+            entry[0] = 0.5 * scale * (float(r @ r) + float(np.sum(d * d)))
+        return entry[0]
 
     def grad(v: Vector) -> Vector:
         key = v.tobytes()
-        for k, g in grads:
-            if k == key:
-                return g.copy()
+        entry = _point_entry((token, key), limit)
+        if entry[1] is not None:
+            return entry[1].copy()
         x, r, d = evaluate(v, key)
         stacked.data = r[perm]
         # Two products, not one x @ d: BLAS may sum a row of x @ d in another
@@ -192,7 +228,7 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
         e = np.concatenate([x[:p] @ d, x[p:] @ d])
         g = (scale * (stacked @ x) + balance * e).ravel()
         stacked.data = no_data  # hold no permuted residual between gradients
-        grads.append((key, g))
+        entry[1] = g
         return g.copy()
 
     return Objective(dim=dim, value_fn=value, grad_fn=grad, lower_bound=0.0)

@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from restartagd import (GdParams, LL2022Params, NonFiniteGradient, OracleSession,
-                        ParamError, TerminationPolicy, Trace, gd_run, ll2022_run,
-                        make_problem, quadratic)
+from restartagd import (GdParams, LL2022Params, NonFiniteGradient, ObjectiveRaised,
+                        OracleSession, ParamError, TerminationPolicy, Trace, gd_run,
+                        ll2022_run, make_problem, quadratic)
 from reference import check_run
 
 
@@ -183,6 +183,22 @@ def test_ll_f_column_reads_nan_where_the_diagnostic_raises(error):
     assert (rep.n_value, rep.n_grad, rep.total_K) == (clean.n_value, clean.n_grad, 10)
     assert rep.trace.grad_norm_monitor == clean.trace.grad_norm_monitor
     np.testing.assert_array_equal(rep.solution, clean.solution)
+
+
+def test_ll_diagnostic_type_error_is_the_objective_raising():
+    # Only arithmetic and value errors read as NaN; any other error, a
+    # TypeError included, ends the run as the objective's own.
+    spec = make_problem("cosine_sum", dim=4)
+    params = LL2022Params(l_f=1.0, termination=TerminationPolicy(max_iterations=10))
+
+    def value(x):
+        raise TypeError("no value here")
+
+    obj = dataclasses.replace(spec.objective, value_fn=value)
+    with pytest.raises(ObjectiveRaised) as err:
+        ll2022_run(obj, spec.x_init, params)
+    assert err.value.channel == "value_fn"
+    assert isinstance(err.value.__cause__, TypeError)
 
 
 def test_ll_tight_budget_restarts_every_iteration():

@@ -171,11 +171,20 @@ def test_every_non_finite_entry_is_caught_at_every_width(d, mode):
 
 
 def test_value_below_declared_lower_bound_is_an_oracle_error():
-    obj = Objective(dim=1, value_fn=lambda x: -1.0, grad_fn=lambda x: x,
-                    lower_bound=0.0)
-    sess = OracleSession(obj)
-    with pytest.raises(OracleError):
-        sess.value(as_point([0.0]))
+    for below in (1.0, 1e-6):
+        obj = Objective(dim=1, value_fn=lambda x: -below, grad_fn=lambda x: x,
+                        lower_bound=0.0)
+        sess = OracleSession(obj)
+        with pytest.raises(OracleError):
+            sess.value(as_point([0.0]))
+
+
+def test_value_within_the_rounding_slack_of_the_lower_bound_is_accepted():
+    # The slack is 1e-9 * (1 + |lb|): 1e-10 under the bound is rounding,
+    # 1e-6 under it (above) is not.
+    obj = Objective(dim=1, value_fn=lambda x: 2.0 - 1e-10, grad_fn=lambda x: x,
+                    lower_bound=2.0)
+    assert OracleSession(obj).value(as_point([0.0])) == 2.0 - 1e-10
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

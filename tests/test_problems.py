@@ -1,6 +1,7 @@
 """Built-in objectives: closed-form values, gradients, loaders, seeding."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from restartagd import (CERTIFY_EVERY_ITER, M_THEORETICAL,
                         ll2022_run, load_movielens_100k, make_problem,
                         matrix_completion, quadratic, rosenbrock, run,
                         synthetic_completion_instance)
+from restartagd import problems
 from restartagd.problems import DATA_ENV_VAR
 from reference import fd_gradient, rosenbrock_grad, rosenbrock_value
 
@@ -295,39 +297,93 @@ def test_completion_returned_gradient_is_caller_owned():
     assert [obj.grad_fn(y).tobytes() for y in points] == truth
 
 
-def test_completion_gradients_of_the_last_six_points_are_served_from_the_memo():
-    # White-box, as below: after gradients at p1..p6, changing the observed
-    # data does not reach p1's gradient, which comes back with the old bits
-    # as a new array.  A seventh point, the sixth newer than p1, pushes p1
-    # out, so its gradient is computed afresh and sees the change.
+def test_completion_cache_evicts_the_least_recently_used_point():
+    # White-box, as below: after gradients at p0..p63, which fill the
+    # process-wide cache, changing the observed data does not reach p0's
+    # gradient, which comes back with the old bits as a new array.  Touching
+    # p0 makes p1 the oldest, so a 65th point pushes p1 out, not p0: p1's
+    # gradient is then computed afresh and sees the change, and p0's is not.
     inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=6)
     obj = matrix_completion(inst, 2)
-    points = np.random.default_rng(7).standard_normal((7, obj.dim))
-    old = [obj.grad_fn(y) for y in points[:6]]
+    points = np.random.default_rng(7).standard_normal((65, obj.dim))
+    old = [obj.grad_fn(y) for y in points[:64]]
     inst.vals[:] += 1.0
     changed = _reference_completion(inst, 2)
-    for y, g in zip(points[:6], old):
-        again = obj.grad_fn(y)
-        assert again is not g and again.tobytes() == g.tobytes()
-        assert again.tobytes() != changed.grad_fn(y).tobytes()
-    assert obj.grad_fn(points[6]).tobytes() == changed.grad_fn(points[6]).tobytes()
-    assert obj.grad_fn(points[1]).tobytes() == old[1].tobytes()
-    assert obj.grad_fn(points[0]).tobytes() == changed.grad_fn(points[0]).tobytes()
+    again = obj.grad_fn(points[0])
+    assert again is not old[0] and again.tobytes() == old[0].tobytes()
+    assert again.tobytes() != changed.grad_fn(points[0]).tobytes()
+    assert obj.grad_fn(points[64]).tobytes() == changed.grad_fn(points[64]).tobytes()
+    assert obj.grad_fn(points[0]).tobytes() == old[0].tobytes()
+    assert obj.grad_fn(points[1]).tobytes() == changed.grad_fn(points[1]).tobytes()
+    assert obj.grad_fn(points[3]).tobytes() == old[3].tobytes()
 
 
 def test_completion_value_after_grad_reuses_the_residual():
-    # White-box: after a gradient at x, the value at x comes from the memo,
-    # so changing the observed data in between does not reach it; the next
-    # point is computed afresh and sees the change.
+    # White-box: a gradient at x leaves x's residual in the one-slot memo, so
+    # the value asked next at x is computed from it, and changing the observed
+    # data in between does not reach it.  y's value, computed before the
+    # change, is served from the cache; a third, fresh point z sees the change.
     inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=4)
     obj = matrix_completion(inst, 2)
-    rng = np.random.default_rng(3)
-    x, y = rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)
-    v_x, v_y = obj.value_fn(x), obj.value_fn(y)
+    before = _reference_completion(dataclasses.replace(inst, vals=inst.vals.copy()), 2)
+    x, y, z = np.random.default_rng(3).standard_normal((3, obj.dim))
+    v_y = obj.value_fn(y)
     obj.grad_fn(x)
     inst.vals[:] += 1.0
-    assert obj.value_fn(x) == v_x
-    assert obj.value_fn(y) != v_y
+    assert obj.value_fn(x) == before.value_fn(x)
+    assert obj.value_fn(y) == v_y
+    assert obj.value_fn(z) == _reference_completion(inst, 2).value_fn(z) != before.value_fn(z)
+
+
+def test_completion_objectives_never_share_a_cache_entry():
+    # Two objectives on one instance ask for one point; after the observed
+    # data changes, only the first may serve its old value and gradient.  A
+    # third objective, built once the first is collected, shares nothing
+    # with it either.
+    inst = synthetic_completion_instance(p=20, q=15, rank=2, seed=8)
+    first = matrix_completion(inst, 2)
+    x = np.random.default_rng(9).standard_normal(first.dim)
+    v, g = first.value_fn(x), first.grad_fn(x)
+    inst.vals[:] += 1.0
+    second = matrix_completion(inst, 2)
+    _assert_same(second, _reference_completion(inst, 2), x)
+    assert first.value_fn(x) == v and first.grad_fn(x).tobytes() == g.tobytes()
+    del first
+    gc.collect()
+    inst.vals[:] += 1.0
+    third = matrix_completion(inst, 2)
+    _assert_same(third, _reference_completion(inst, 2), x)
+    assert third.value_fn(x) != v
+
+
+def _held_bytes():
+    return sum(len(point) + (0 if g is None else g.nbytes)
+               for (_, point), (_, g) in problems._POINTS.items())
+
+
+def test_completion_cache_stays_within_its_two_bounds():
+    # At most 64 points, and at a large dim at most 32 MiB of keys and
+    # gradients: 16 * 400,000 bytes a point allows 5.
+    small = matrix_completion(synthetic_completion_instance(p=20, q=15, rank=2, seed=9), 2)
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        y = rng.standard_normal(small.dim)
+        small.value_fn(y)
+        small.grad_fn(y)
+    assert len(problems._POINTS) == 64
+    n = 1000
+    big = matrix_completion(MatrixCompletionInstance(
+        p=n, q=n, rows=np.arange(n), cols=np.arange(n)[::-1], vals=np.ones(n)), 200)
+    assert big.dim == 400_000
+    try:
+        for _ in range(8):
+            y = rng.standard_normal(big.dim)
+            big.value_fn(y)
+            big.grad_fn(y)
+            assert _held_bytes() <= 32 << 20
+        assert len(problems._POINTS) == 5
+    finally:
+        problems._POINTS.clear()  # give the 32 MB back to the test process
 
 
 def _fingerprint(rep):
@@ -363,6 +419,24 @@ def test_matcomp_trajectories_match_reference_kernel(seed):
     assert [r.reason for r in new[:3]] == ["EpsReached"] * 3
     for a, b in zip(new, old):
         assert _fingerprint(a) == _fingerprint(b)
+
+
+def test_theoretical_run_after_a_practical_one_computes_nothing():
+    # At the benchmark's eps the theoretical variant asks only for points the
+    # practical run on the same objective evaluated, so the cache serves every
+    # one: with the observed data changed in between, it still reproduces a
+    # theoretical run on the unchanged data.
+    inst = synthetic_completion_instance(rank=5, seed=0)
+    x0 = completion_init(inst, 5, seed=1)
+    to_eps = TerminationPolicy(eps=1e-2, max_oracle_calls=20_000)
+    theoretical = SolverParams(m_variant=M_THEORETICAL, termination=to_eps)
+    fresh = run(matrix_completion(dataclasses.replace(inst, vals=inst.vals.copy()), 5),
+                x0, theoretical)
+    obj = matrix_completion(inst, 5)
+    run(obj, x0, SolverParams(termination=to_eps))
+    inst.vals[:] += 1.0
+    assert _fingerprint(run(obj, x0, theoretical)) == _fingerprint(fresh)
+    assert _fingerprint(run(matrix_completion(inst, 5), x0, theoretical)) != _fingerprint(fresh)
 
 
 def test_instance_validation():
