@@ -48,7 +48,7 @@ class _Gd:
         self.L, self.M = params.l_init, 0.0
         self.accepted, self.epoch, self.stalled = 0, 1, False
 
-    def step(self) -> tuple:
+    def step(self, K: int) -> tuple:
         p, session, base = self.params, self.session, self.base
         trial_L = self.L
         x_trial = base.x - (1.0 / trial_L) * base.g
@@ -64,7 +64,7 @@ class _Gd:
             self.epoch += 1
             self.L = p.alpha * trial_L
             event = "RestartUnsuccessful"
-        return (self.accepted + self.epoch - 1, self.epoch, self.accepted,
+        return (K, self.epoch, self.accepted,
                 session.n_oracle, base.f, base.norm, None, trial_L, 0.0, 0.0, event)
 
 
@@ -122,12 +122,11 @@ class _LL2022:
         self.x_prev = x0
         self.base = self.best = session.evaluate(x0, value=False)
         self.anchors: List[float] = []
-        self.s, self.k, self.K, self.epoch, self.stalled = 0.0, 0, 0, 1, False
+        self.s, self.k, self.epoch, self.stalled = 0.0, 0, 1, False
 
-    def step(self) -> tuple:
+    def step(self, K: int) -> tuple:
         p, session, base = self.params, self.session, self.base
         k = self.k + 1
-        self.K += 1
         x_new = base.x - (1.0 / p.l_f) * base.g
         dx = x_new - self.x_prev
         s = self.s + float(dx.dot(dx))
@@ -144,7 +143,7 @@ class _LL2022:
             f_diag = float("nan")
         except Exception as exc:
             raise ObjectiveRaised("value_fn", exc) from exc
-        row = (self.K, self.epoch, k, session.n_oracle, f_diag, base.norm, None,
+        row = (K, self.epoch, k, session.n_oracle, f_diag, base.norm, None,
                p.l_f, p.m_f, s, "RestartSuccessful" if restart else "Step")
         if restart:
             k, s = 0, 0.0

@@ -23,8 +23,9 @@ clock, the counted :class:`OracleSession`, the stop checks, the partial trace
 of an :class:`OracleError`, the :class:`RunReport` and its certified path
 (``certified``: the call count at each fall of the certified norm).  A method
 is a step object built as ``method(session, x0, params)``, which makes the
-first evaluations and holds the run's state; ``step()`` returns one
-iteration's trace row, a tuple in ``TRACE_COLUMNS`` order ending in its event
+first evaluations and holds the run's state; ``step(K)`` returns the trace
+row of the run's ``K``-th iteration (``drive`` numbers the rows, from 1), a
+tuple in ``TRACE_COLUMNS`` order that starts with ``K`` and ends in its event
 (``Terminated`` ends the run as ``EpsReached``), ``base`` is the next step's
 base point and ``best`` the evaluated point of least gradient norm so far,
 both :class:`~restartagd.oracle.Evaluated` records that
@@ -229,8 +230,8 @@ def update_m(state: _Proposed, dx2: float,
 
 class _Proposed:
     """The adaptive method as a step object, which holds the run's state:
-    the current epoch's evaluated points plus the run-wide counters ``K``,
-    ``epoch``, ``L`` and ``M``.  ``anchor`` is the epoch's x_0, ``prev`` and
+    the current epoch's evaluated points plus the run-wide ``epoch``, ``L``
+    and ``M``.  ``anchor`` is the epoch's x_0, ``prev`` and
     ``cur`` are x_{k-1} and x_k, ``y`` is y_k (the ``base`` of the next
     step).  ``y_bar`` is the averaged point for the *upcoming* inner index,
     i.e. after iteration k it holds the average of y_0..y_k, whose
@@ -252,7 +253,7 @@ class _Proposed:
         self.session, self.params = session, params
         self.best = start = session.evaluate(x0)
         self.anchors: List[float] = []
-        self.K, self.epoch, self.L, self.M, self.stalled = 0, 0, params.l_init, params.m0, False
+        self.epoch, self.L, self.M, self.stalled = 0, params.l_init, params.m0, False
         self._begin_epoch(start)
 
     @property
@@ -267,13 +268,13 @@ class _Proposed:
         self.y_bar = start.x
         self.anchors.append(start.f)
 
-    def step(self) -> tuple:
-        """Run one accelerated iteration, update M and the running average,
-        then apply the descent test and the progress test, in that order.
-        Returns the iteration's trace row, whose event names the outcome."""
+    def step(self, K: int) -> tuple:
+        """Run one accelerated iteration, the run's ``K``-th, update M and the
+        running average, then apply the descent test and the progress test,
+        in that order.  Returns the iteration's trace row, whose event names
+        the outcome."""
         session, params, pol = self.session, self.params, self.params.termination
         self.k = k = self.k + 1
-        self.K += 1
         th = k / (k + 1.0)
         step_L, base = self.L, self.y
 
@@ -316,7 +317,7 @@ class _Proposed:
         if kind == "Step" and pol.eps is not None and best.norm <= pol.eps:
             kind = "Terminated"
 
-        row = (self.K, self.epoch, k, session.n_oracle, cur.f, monitor,
+        row = (K, self.epoch, k, session.n_oracle, cur.f, monitor,
                None if ybar is None else ybar.norm, step_L, self.M, s, kind)
         self.stalled = s == 0.0 and ybar is None and one_point(base.x, self.prev.x, x_new, y_new)
 
@@ -343,7 +344,7 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
     as ``Stalled``.  Past a stalled row with ``S_k`` = 0 every later row
     repeats it but ``K`` and ``k``, so a run without an observer appends
     them with :meth:`Trace.repeat_last` instead of stepping, ``FILL_ROWS``
-    at a time, and sets ``K`` and ``k`` as the steps would; an observer
+    at a time, and sets the method's ``k`` as the steps would; an observer
     sees every step.  An :class:`OracleError` (an exception from the objective
     included, raised as :class:`~restartagd.oracle.ObjectiveRaised`) or a
     ``KeyboardInterrupt``, which keeps its type, leaves with the run's own
@@ -383,10 +384,10 @@ def drive(obj: Objective, x_init, params, method, observer=None) -> RunReport:
                     break
                 if observer is None and trace.S_k[-1] == 0.0:  # rows repeat but K, k
                     trace.repeat_last(min(FILL_ROWS, math.ceil(pol.max_iterations) - len(trace)))
-                    m.K, m.k = trace.K[-1], trace.k[-1]
+                    m.k = trace.k[-1]
                     continue
 
-            row = m.step()
+            row = m.step(len(trace) + 1)
             trace.append(row)
             if m.best.norm < norms[-1]:
                 calls.append(session.n_oracle)
@@ -430,8 +431,8 @@ def run(obj: Objective, x_init, params: SolverParams,
     per-iteration monitor points.
 
     ``observer(method, record)`` is called after every iteration, with
-    ``method`` the run's step object: its ``L``, ``M``, ``k``, ``K``,
-    ``epoch``, ``s`` and the :class:`Evaluated` points ``anchor``, ``prev``,
+    ``method`` the run's step object: its ``L``, ``M``, ``k``, ``epoch``,
+    ``s`` and the :class:`Evaluated` points ``anchor``, ``prev``,
     ``cur`` and ``y``.  Oracle errors propagate with the trace so far
     attached as ``exc.partial_trace``.
     """

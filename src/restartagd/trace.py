@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import operator
 from array import array
 from collections.abc import Sequence
@@ -187,10 +186,10 @@ class RunReport:
 
 
 # The header, without its line end, and one trace row as ``csv.writer`` would
-# write them, the six floats given as their ``repr`` texts, with ``\r\n`` line
-# ends.  No field ever needs quoting, since names and numbers never hold a
-# comma, a quote or a line break and the names in ``EVENTS`` are a fixed set
-# without them.
+# write them, with ``\r\n`` line ends.  The six float fields are given as
+# floats or as texts: a float's ``%s`` is its ``repr``.  No field ever needs
+# quoting, since names and numbers never hold a comma, a quote or a line
+# break and the names in ``EVENTS`` are a fixed set without them.
 _HEADER = ",".join(TRACE_COLUMNS)
 _TAIL = "%d,%s,%s,%s,%s,%s,%s,%s\r\n"   # the fields after ``k``
 _ROW = "%d,%d,%d," + _TAIL
@@ -235,14 +234,16 @@ class TraceWriter:
     :class:`Trace`'s ``filled`` rows.  The caller flushes or closes the file.
 
     A float field is written as ``repr(float(v))``, and a missing
-    ``grad_norm_ybar`` (``None``) as an empty field.  Most float fields
-    repeat the row before (``L`` and ``M`` hold for an epoch, ``gd``'s ``M``
-    and ``S_k`` are always 0.0, and past a bitwise fixed point every float
-    column repeats), so a field is formatted only when its value differs
-    from the previous row's; a zero of the other sign counts as different,
-    and a NaN, equal to nothing, is formatted every row.  The last values
-    and their texts carry over to the next call, so rows added one call at a
-    time share texts too.
+    ``grad_norm_ybar`` (``None``) as an empty field.  ``f_x``,
+    ``grad_norm_monitor`` and ``S_k`` are formatted on every row, as the
+    reader parses them.  ``grad_norm_ybar``, ``L`` and ``M`` hold one object
+    for a run of equal values, in a run's trace and in one read back, so
+    one of them is formatted only when the row holds another object than
+    the row before: the reader's rule (equal text, one object) run
+    backwards.  One object has one value, so the bytes are those of
+    formatting every field, as long as a value is never changed after its
+    row is appended.  The last objects and their texts carry over to the
+    next call, so rows added one call at a time share texts too.
 
     A filled row repeats the row before it but ``K`` and ``k``, which count
     up, so the filled rows are written as :func:`_fill_text` of the row
@@ -254,9 +255,9 @@ class TraceWriter:
         self._out = out
         self._out.write(_HEADER + "\r\n")
         self._out.flush()
-        # The last row's value and text of f_x, grad_norm_monitor,
-        # grad_norm_ybar, L, M and S_k: any value with its own text will do.
-        self._last = (0.0, "0.0", 0.0, "0.0", None, "", 0.0, "0.0", 0.0, "0.0", 0.0, "0.0")
+        # The last row's object and text of grad_norm_ybar, L and M: any
+        # object with its own text will do.
+        self._last = (None, "", 0.0, "0.0", 0.0, "0.0")
 
     def add_rows(self, rows: Iterable[tuple]) -> None:
         """Write rows, each the eleven field values in ``TRACE_COLUMNS``
@@ -266,30 +267,26 @@ class TraceWriter:
             if stop:   # the rows before the fill, the fill, then the rows after it
                 self.add_rows(islice(zip(*columns), start))
                 i = start - 1
-                tail = _TAIL % (rows.n_oracle[i], *self._last[1::2], rows.event[i])
+                tail = _TAIL % (rows.n_oracle[i], rows.f_x[i], rows.grad_norm_monitor[i],
+                                *self._last[1::2], rows.S_k[i], rows.event[i])
                 for j in range(start, stop, _FILL_BLOCK):
                     self._out.write(_fill_text(rows.K[j], rows.epoch[i], rows.k[j], tail,
                                                min(_FILL_BLOCK, stop - j)))
                 columns = [column[stop:] for column in columns]
             rows = zip(*columns)
-        write, sign = self._out.write, math.copysign
-        f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1 = self._last
+        write = self._out.write
+        y0, y1, L0, L1, M0, M1 = self._last
         for K, epoch, k, n_oracle, f_x, monitor, ybar, L, M, S_k, event in rows:
-            # ``v != last``, or both zero with different signs: format anew.
-            if f_x != f0 or f_x == 0.0 and sign(1.0, f_x) != sign(1.0, f0):
-                f0, f1 = f_x, repr(float(f_x))
-            if monitor != g0 or monitor == 0.0 and sign(1.0, monitor) != sign(1.0, g0):
-                g0, g1 = monitor, repr(float(monitor))
-            if ybar != y0 or ybar == 0.0 and sign(1.0, ybar) != sign(1.0, y0):
+            # The previous row's object has the previous row's text.
+            if ybar is not y0:
                 y0, y1 = ybar, "" if ybar is None else repr(float(ybar))
-            if L != L0 or L == 0.0 and sign(1.0, L) != sign(1.0, L0):
+            if L is not L0:
                 L0, L1 = L, repr(float(L))
-            if M != M0 or M == 0.0 and sign(1.0, M) != sign(1.0, M0):
+            if M is not M0:
                 M0, M1 = M, repr(float(M))
-            if S_k != S0 or S_k == 0.0 and sign(1.0, S_k) != sign(1.0, S0):
-                S0, S1 = S_k, repr(float(S_k))
-            write(_ROW % (K, epoch, k, n_oracle, f1, g1, y1, L1, M1, S1, event))
-        self._last = (f0, f1, g0, g1, y0, y1, L0, L1, M0, M1, S0, S1)
+            write(_ROW % (K, epoch, k, n_oracle, float(f_x), float(monitor), y1, L1, M1,
+                          float(S_k), event))
+        self._last = (y0, y1, L0, L1, M0, M1)
 
 
 def write_trace_csv(path: str, rows: Iterable[tuple]) -> None:

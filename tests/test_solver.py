@@ -2,6 +2,7 @@
 termination, and exact oracle accounting on short runs."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from types import SimpleNamespace
@@ -315,7 +316,7 @@ def test_first_step_from_origin_is_wild_and_restarts():
     g0 = spec.objective.grad_fn(x0)
     assert st.best.norm == math.sqrt(float(g0 @ g0))
 
-    rec = TraceRecord(*st.step())
+    rec = TraceRecord(*st.step(1))
     assert rec.event == "RestartUnsuccessful"
     assert rec.L == 1e-3            # the L the step actually used
     assert rec.K == 1 and rec.k == 1
@@ -418,6 +419,18 @@ def test_time_limit_reason():
               SolverParams(m_variant="theoretical",
                            termination=TerminationPolicy(max_seconds=0.05)))
     assert rep.reason == "TimeLimit"
+
+
+def test_a_clock_reading_exactly_max_seconds_is_a_time_limit(monkeypatch):
+    # The run starts at 100.0 s and every later reading is 101.0 s, so the
+    # clock is at its limit before the first step; the iteration budget only
+    # ends a run that lets the limit pass.
+    clock = itertools.chain([100.0], itertools.repeat(101.0))
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    spec = make_problem("rosenbrock")
+    rep = run(spec.objective, spec.x_init, SolverParams(
+        termination=TerminationPolicy(max_iterations=5, max_seconds=1.0)))
+    assert (rep.reason, len(rep.trace)) == ("TimeLimit", 0)
 
 
 # ---------------------------------------------------------------------------

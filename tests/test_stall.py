@@ -154,7 +154,7 @@ def test_the_observer_sees_every_row_of_a_stalled_run():
     def observer(m, record):
         # A restart row's k is the ended epoch's; the method's is then 0.
         k_ok = m.k == record.k or record.event.startswith("Restart") and m.k == 0
-        seen.append((record.K, m.K == record.K and k_ok, m.stalled))
+        seen.append((record.K, k_ok, m.stalled))
 
     params = SolverParams(termination=TerminationPolicy(max_iterations=300))
     rep = drive(spec.objective, spec.x_init, params, _Proposed, observer)
@@ -173,11 +173,11 @@ def test_the_fill_leaves_K_and_k_where_the_steps_would():
 
     spec = make_problem("cosine_sum")
     params = SolverParams(termination=TerminationPolicy(max_iterations=300))
-    for observer in (lambda m, record: None, None):
-        drive(spec.objective, spec.x_init, params, Kept, observer)
+    reports = [drive(spec.objective, spec.x_init, params, Kept, observer)
+               for observer in (lambda m, record: None, None)]
     stepped, filled = made
-    assert (stepped.K, stepped.k, stepped.epoch) == (filled.K, filled.k, filled.epoch)
-    assert filled.K == 300
+    assert (stepped.k, stepped.epoch) == (filled.k, filled.epoch)
+    assert [report.trace.K[-1] for report in reports] == [300, 300]
 
 
 def test_repeat_last_counts_K_and_k_up_and_repeats_the_rest():

@@ -154,15 +154,24 @@ def test_streaming_writer_matches_the_trace_writer(tmp_path):
 
 # Adjacent values a writer that reuses the previous row's text must tell
 # apart (zeros of either sign, NaN after NaN, None after a value and back)
-# or may share (an int and the equal float, which print alike).
+# or may share (an int and the equal float, which print alike; one object
+# held for rows, then an equal one).  Ints and NumPy scalars are written as
+# the float they convert to: ``np.float32(0.1)`` as 0.10000000149011612.
 NAN = float("nan")
+HELD = float("0.1")
 REPEATS = {
-    "f_x": [0.0, -0.0, 0.0, NAN, NAN, 1.5, 1.5, -0.0],
-    "grad_norm_monitor": [-0.0, 0.0, -0.0, NAN, NAN, 2.5, 2.5, 0.0],
-    "grad_norm_ybar": [None, 0.75, 0.75, 0.75, None, 0.0, -0.0, None],
-    "L": [100, 100.0, 100, 100.0, NAN, NAN, 0.0, -0.0],
-    "M": [0.0, -0.0, -0.0, 0.0, 0, 0.0, NAN, NAN],
-    "S_k": [0.0, -0.0, 0.0, -0.0, -0.0, NAN, NAN, 3.0],
+    "f_x": [0.0, -0.0, 0.0, NAN, NAN, 1.5, 1.5, -0.0,
+            np.float64(0.5), 3, np.float32(0.1), 3, -2],
+    "grad_norm_monitor": [-0.0, 0.0, -0.0, NAN, NAN, 2.5, 2.5, 0.0,
+                          4, np.float32(0.1), np.float64(2.5), 0, 7],
+    "grad_norm_ybar": [None, 0.75, 0.75, 0.75, None, 0.0, -0.0, None,
+                       None, 1, 1, np.float32(0.1), None],
+    "L": [100, 100.0, 100, 100.0, NAN, NAN, 0.0, -0.0,
+          HELD, HELD, HELD, float("0.1"), 2],
+    "M": [0.0, -0.0, -0.0, 0.0, 0, 0.0, NAN, NAN,
+          np.float32(0.1), 1, 1, np.float64(-0.0), 0.0],
+    "S_k": [0.0, -0.0, 0.0, -0.0, -0.0, NAN, NAN, 3.0,
+            np.float32(0.1), 5, 5, np.float64(0.0), -0.0],
 }
 
 
