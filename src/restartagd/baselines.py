@@ -15,22 +15,8 @@ from dataclasses import dataclass
 from typing import List
 
 from .oracle import Evaluated, Objective, ObjectiveRaised, OracleSession, Vector, one_point
-from .solver import DEFAULT_TERMINATION, ParamError, TerminationPolicy, check_finite, drive
+from .solver import DEFAULT_TERMINATION, GdParams, ParamError, TerminationPolicy, check_finite, drive
 from .trace import RunReport
-
-
-@dataclass(frozen=True)
-class GdParams:
-    l_init: float = 1e-3
-    alpha: float = 2.0
-    beta: float = 0.9
-    termination: TerminationPolicy = DEFAULT_TERMINATION
-
-    def __post_init__(self):
-        check_finite("l_init", self.l_init, 0)
-        check_finite("alpha", self.alpha, 1)
-        if not 0 < self.beta <= 1:
-            raise ParamError("beta must lie in (0, 1]")
 
 
 class _Gd:

@@ -176,7 +176,7 @@ class OracleSession:
 
     def grad(self, x: Vector) -> Vector:
         key = x.tobytes()
-        if key == self._grad_key and self._grad_cached is not None:
+        if key == self._grad_key:
             return self._grad_cached
         try:
             g = np.asarray(self.obj.grad_fn(x), dtype=np.float64)

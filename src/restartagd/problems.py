@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -130,6 +131,12 @@ def _point_entry(key: tuple, limit: int) -> list:
     return entry
 
 
+def _forget(token: int) -> None:
+    """Drop every cache entry of the objective that took ``token``."""
+    for key in [key for key in _POINTS if key[0] == token]:
+        del _POINTS[key]
+
+
 def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objective:
     """Factorized completion objective over x = vec(U rows, then V rows).
 
@@ -154,7 +161,9 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
     and runs from one start on one objective ask again for points an earlier
     run evaluated.  The cache holds at most 64 points, and fewer where 16 *
     dim bytes a point (key and gradient) would pass 32 MiB at the inserting
-    objective's dim: 7 points, about 29 MB, at MovieLens rank 100.  The
+    objective's dim: 7 points, about 29 MB, at MovieLens rank 100.  An
+    objective's entries go when it is collected: once neither its
+    ``value_fn`` nor its ``grad_fn`` is held (either alone keeps them).  The
     gradient's sparse part is one product with a CSR matrix [[0, R], [R^T,
     0]] of the observations, built once, whose data array each computed
     gradient binds to the permuted residual and then to an empty array, so
@@ -207,6 +216,10 @@ def matrix_completion(instance: MatrixCompletionInstance, rank: int) -> Objectiv
         d = u.T @ u - w.T @ w
         last = (key, r, d)
         return x, r, d
+
+    # value and grad both hold evaluate, so its entries go once neither is
+    # held and no point of this objective can be asked for again.
+    weakref.finalize(evaluate, _forget, token)
 
     def value(v: Vector) -> float:
         key = v.tobytes()

@@ -115,25 +115,38 @@ class TerminationPolicy:
 DEFAULT_TERMINATION = TerminationPolicy(eps=1e-6, max_oracle_calls=100_000)
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    """Solver inputs.  The defaults are the recommended parameter-free
-    setting; ``l_init`` and ``m0`` only need to be positive, the method
-    corrects bad guesses as it goes."""
+@dataclass(frozen=True, kw_only=True)
+class GdParams:
+    """The step-size search that the solver shares with its ``gd`` baseline
+    (:func:`~restartagd.baselines.gd_run`): ``L`` starts at ``l_init``, grows
+    by ``alpha`` when a test fails and shrinks by ``beta`` when one passes."""
 
     l_init: float = 1e-3
-    m0: float = 1e-16
     alpha: float = 2.0
     beta: float = 0.9
-    m_variant: str = M_PRACTICAL
     termination: TerminationPolicy = DEFAULT_TERMINATION
 
     def __post_init__(self):
         check_finite("l_init", self.l_init, 0)
-        check_finite("m0", self.m0, 0)
         check_finite("alpha", self.alpha, 1)
         if not 0 < self.beta <= 1:
             raise ParamError("beta must lie in (0, 1]")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SolverParams(GdParams):
+    """Solver inputs: the step-size search of :class:`GdParams`, plus the
+    first curvature estimate ``m0`` and its update rule ``m_variant``.  The
+    defaults are the recommended parameter-free setting; ``l_init`` and
+    ``m0`` only need to be positive, the method corrects bad guesses as it
+    goes."""
+
+    m0: float = 1e-16
+    m_variant: str = M_PRACTICAL
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_finite("m0", self.m0, 0)
         if self.m_variant not in (M_PRACTICAL, M_THEORETICAL):
             raise ParamError(f"unknown m_variant {self.m_variant!r}")
 

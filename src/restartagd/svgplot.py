@@ -42,6 +42,8 @@ def _linear_ticks(lo: float, hi: float) -> List[float]:
     t = math.ceil(lo / step) * step
     while t <= min(hi + 1e-12 * step, sys.float_info.max):   # t ends finite
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a step under half an ulp of t leaves t where it is
+            break
         t += step
     return ticks or [lo, hi]
 

@@ -6,9 +6,11 @@ import filecmp
 import json
 import math
 import os
+import signal
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
 from restartagd import (REPORT_SCHEMA, baselines, cli, problems, read_trace_csv, solver,
@@ -724,6 +726,49 @@ def test_plot_draws_extreme_finite_values(tmp_path, case):
     text = svg.read_text(encoding="utf-8")
     assert text.startswith("<svg") and text.endswith("</svg>\n")
     assert "nan" not in text and "inf" not in text     # every coordinate finite
+
+
+def _one_ulp_run(entry, params):
+    # From this start, f_x ends one ulp of 10 above its least value.
+    x0 = np.full(10, math.pi) + 3e-8
+    pol = solver.TerminationPolicy(eps=1e-14, max_iterations=50)
+    return entry(problems.cosine_sum(10), x0, params(l_init=2.0, termination=pol)).trace
+
+
+# Series whose values span about one ulp, so that adding a tick step leaves
+# the tick where it was.
+ONE_ULP = {
+    "f_x spans one ulp of 10": lambda: [
+        (k + 1, 1, k + 1, 2 * k, f, 1.0, None, 1.0, 0.0, 0.0, "Step")
+        for k, f in enumerate((-10.0, -9.999999999999998))],
+    "n_oracle spans one ulp of 2**53": lambda: [
+        (k + 1, 1, k + 1, calls, 1.0, 1.0, None, 1.0, 0.0, 0.0, "Step")
+        for k, calls in enumerate((2 ** 53, 2 ** 53 + 2))],
+    "a proposed run's f_x": lambda: _one_ulp_run(solver.run, solver.SolverParams),
+    "a gd run's f_x": lambda: _one_ulp_run(baselines.gd_run, baselines.GdParams),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_ULP))
+def test_plot_ends_on_a_range_one_ulp_wide(tmp_path, case):
+    path = tmp_path / "run" / "trace.csv"
+    path.parent.mkdir()
+    write_trace_csv(str(path), ONE_ULP[case]())
+    f_x = [row.f_x for row in read_trace_csv(str(path))]
+    assert max(f_x) - min(f_x) <= math.ulp(f_x[0])
+
+    def stuck(signum, frame):
+        raise TimeoutError("plot did not return within 1 s")
+
+    # A tick loop that never ends fails the test instead of hanging it.
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        rc = main(["plot", str(path), "--out", str(tmp_path / "t.svg")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 0 and (tmp_path / "t.svg").read_text(encoding="utf-8").endswith("</svg>\n")
 
 
 def test_plot_draws_an_empty_trace(tmp_path):

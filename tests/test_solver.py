@@ -120,6 +120,11 @@ def test_solver_params_validation():
         SolverParams(beta=math.nan)
     # beta = 1 is allowed: it freezes L on successful restarts.
     SolverParams(beta=1.0)
+    # Fields are named, never placed: a positional second field cannot bind
+    # to alpha where a caller meant m0.
+    for cls in (SolverParams, GdParams):
+        with pytest.raises(TypeError):
+            cls(1.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +436,17 @@ def test_a_clock_reading_exactly_max_seconds_is_a_time_limit(monkeypatch):
     rep = run(spec.objective, spec.x_init, SolverParams(
         termination=TerminationPolicy(max_iterations=5, max_seconds=1.0)))
     assert (rep.reason, len(rep.trace)) == ("TimeLimit", 0)
+
+
+@pytest.mark.parametrize("entry, params", [
+    (run, SolverParams()), (gd_run, GdParams()), (ll2022_run, LL2022Params(l_f=1.0))])
+def test_a_certified_norm_of_exactly_eps_reaches_eps(entry, params):
+    # The start's gradient is (3, 4), of norm exactly 5.0, so a run asked for
+    # eps = 5.0 is done before its first step.
+    obj = Objective(dim=2, value_fn=lambda v: 0.5 * float(v @ v), grad_fn=lambda v: v.copy())
+    rep = entry(obj, [3.0, 4.0], dataclasses.replace(
+        params, termination=TerminationPolicy(eps=5.0, max_iterations=5)))
+    assert (rep.reason, len(rep.trace), rep.certified_grad_norm) == ("EpsReached", 0, 5.0)
 
 
 # ---------------------------------------------------------------------------
